@@ -3,9 +3,11 @@ Planning who tells whom
 =======================
 
 The planner searches breadth-first over sequences of shares, pruning
-duplicate epistemic situations by a canonical fingerprint.  It can be
-told to use only permissible shares, or to search freely and report
-the permission verdict of every step it takes.
+a situation it has already reached, compared as the exact model.
+Pruning isomorphic copies as well would return the same plan, because a
+share at the point commutes with every symmetry that fixes the point.
+It can be told to use only permissible shares, or to search freely and
+report the permission verdict of every step it takes.
 """
 
 from knowpool import parse, plan, pointed

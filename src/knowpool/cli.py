@@ -43,6 +43,18 @@ def _anchored(model, state):
     return PointedModel(model, at)
 
 
+def _count(text: str) -> int:
+    # a negative bound would otherwise read as "no plan" or an empty sample
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return value
+
+
 def _parse_formula(text: str):
     return parse(text)
 
@@ -188,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="search for a sharing plan")
     p.add_argument("--model", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max", type=_count, default=6)
     p.add_argument("--free", action="store_true",
                    help="allow impermissible shares")
     p.add_argument("--state")
@@ -197,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lab", help="stress-test schemata on random models")
     p.add_argument("--schema", default="all")
     p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
-    p.add_argument("--samples", type=int, default=DEFAULT_CONFIG.samples)
-    p.add_argument("--max-states", type=int,
+    p.add_argument("--samples", type=_count, default=DEFAULT_CONFIG.samples)
+    p.add_argument("--max-states", type=_count,
                    default=DEFAULT_CONFIG.max_states)
     p.set_defaults(fn=cmd_lab)
 
@@ -206,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-schemas", action="store_true",
                    help="only the fact table and the two readings")
     p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
-    p.add_argument("--samples", type=int, default=DEFAULT_CONFIG.samples)
-    p.add_argument("--max-states", type=int,
+    p.add_argument("--samples", type=_count, default=DEFAULT_CONFIG.samples)
+    p.add_argument("--max-states", type=_count,
                    default=DEFAULT_CONFIG.max_states)
     p.set_defaults(fn=cmd_examples)
 

@@ -458,6 +458,12 @@ def fingerprint(pm: PointedModel) -> bytes:
     Isomorphism: a state bijection preserving the valuation, every named
     agent relation, the ideal relation, and the point.  Computed by color
     refinement with individualization branching on ties.
+
+    There is no automorphism pruning, so the cost is factorial in the size
+    of the colour classes refinement cannot split: on a model whose states
+    are interchangeable within two valuation classes it took 0.1 s at 9
+    states and 0.6 s at 10 (2.1 GHz Xeon).  This stays a public API; the
+    planner no longer calls it, since it deduplicates on exact models.
     """
     m = pm.model
     base = {}

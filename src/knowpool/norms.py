@@ -5,6 +5,14 @@ hand afterwards.  A plan is a sequence of shares, each judged at the moment
 it is executed, leading to a model where the goal formula holds at the
 point.  Search is breadth-first, so returned plans have minimal length, and
 ties break by the lexicographic order of (sender, receiver) pairs.
+
+Search nodes are deduplicated on the exact model.  Every node shares the
+states, valuation, ideal relation and point of the start model, so two nodes
+differ only in their agent relations and `Model` equality compares exactly
+those.  Merging isomorphic nodes as well would not change the plan: a share
+anchored at the point commutes with every isomorphism that fixes the point,
+so an isomorphic duplicate satisfies the goal exactly when the earlier node
+it copies does, and breadth-first order reaches that node first.
 """
 
 from __future__ import annotations
@@ -13,7 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .formula import Formula, OkAtom
-from .kripke import Model, PointedModel, fingerprint
+from .kripke import Model, PointedModel
+# unused by the planner; bench/layers.py traces `norms.fingerprint` by name
+from .kripke import fingerprint  # noqa: F401
 from .semantics import EvalContext, EvalError, extension
 from .update import share_update
 
@@ -60,8 +70,15 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
     merely record how each step would have been judged (None when the model
     has no ideal relation).  Returns None when no plan exists within
     `max_len` steps; `max_len=None` searches the whole reachable space,
-    which is finite because sharing only ever refines relations.
+    which is finite because sharing only ever refines relations.  A
+    negative `max_len` raises ValueError.
+
+    Nodes are deduplicated on the exact model, which returns the same plan
+    as deduplicating up to isomorphism (see the module docstring) without
+    canonical labelling, whose cost grows factorially on symmetric models.
     """
+    if max_len is not None and max_len < 0:
+        raise ValueError("max_len must be non-negative, got %d" % max_len)
     base = pm.model
     w = pm.point
     if require_permissible and base.ideal is None:
@@ -71,7 +88,7 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
         ctx = EvalContext()
     pairs = [(x, y) for x in sorted(base.agents)
              for y in sorted(base.agents) if x != y]
-    seen = {fingerprint(PointedModel(base, w))}
+    seen = {base}
     queue = deque([(base, ())])
     while queue:
         m, steps = queue.popleft()
@@ -85,10 +102,9 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
                 continue
             if require_permissible and not _verdict(nxt, w, receiver, ctx):
                 continue
-            fp = fingerprint(PointedModel(nxt, w))
-            if fp in seen:
+            if nxt in seen:
                 continue
-            seen.add(fp)
+            seen.add(nxt)
             queue.append((nxt, steps + ((sender, receiver),)))
     return None
 

@@ -2,12 +2,21 @@
 
 Everything here is written for clarity over speed and deliberately avoids
 the package's own refinement and canonicalisation code paths, so that a
-bug in the implementation cannot hide inside its oracle.
+bug in the implementation cannot hide inside its oracle.  The exception is
+`fingerprint_plan`, a planner that merges isomorphic nodes through
+`fingerprint`: the reference that exact-model deduplication must match.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
+
+from knowpool.formula import OkAtom
+from knowpool.kripke import PointedModel, fingerprint
+from knowpool.norms import Plan
+from knowpool.semantics import EvalContext, extension
+from knowpool.update import share_update
 
 
 def naive_blocks(m):
@@ -94,3 +103,47 @@ def isomorphic(m1, m2) -> bool:
             continue
         return True
     return False
+
+
+def fingerprint_plan(pm, goal, max_len=None, require_permissible=True):
+    """Breadth-first share planning that merges isomorphic search nodes.
+
+    Nodes are deduplicated on their canonical fingerprint, so the search
+    visits one node per isomorphism class of pointed models.  Returns the
+    same `Plan` (or None) that `norms.plan` is required to return.
+    """
+    ctx = EvalContext()
+    base, w = pm.model, pm.point
+
+    def permitted(m, receiver):
+        if m.ideal is None:
+            return None
+        return w in extension(m, OkAtom(receiver), ctx)
+
+    pairs = [(x, y) for x in sorted(base.agents)
+             for y in sorted(base.agents) if x != y]
+    seen = {fingerprint(PointedModel(base, w))}
+    queue = deque([(base, ())])
+    while queue:
+        m, steps = queue.popleft()
+        if w in extension(m, goal, ctx):
+            verdicts = []
+            m = base
+            for sender, receiver in steps:
+                m = share_update(m, w, sender, receiver)
+                verdicts.append(permitted(m, receiver))
+            return Plan(steps, tuple(verdicts), goal, True)
+        if max_len is not None and len(steps) >= max_len:
+            continue
+        for sender, receiver in pairs:
+            nxt = share_update(m, w, sender, receiver)
+            if nxt is m:
+                continue
+            if require_permissible and not permitted(nxt, receiver):
+                continue
+            fp = fingerprint(PointedModel(nxt, w))
+            if fp in seen:
+                continue
+            seen.add(fp)
+            queue.append((nxt, steps + ((sender, receiver),)))
+    return None

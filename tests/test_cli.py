@@ -123,6 +123,16 @@ class TestPlan:
             "2: b > c  permissible=unknown\n"
             "goal=K{c}(p -> r) achieved=true\n")
 
+    def test_negative_max_is_a_usage_error(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--model", files["deontic"],
+                  "--goal", "K{c}(p->q)", "--max", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max: expected a non-negative integer, got '-1'" \
+            in captured.err
+
 
 class TestLab:
     def test_single_valid_schema(self, capsys):
@@ -168,3 +178,19 @@ class TestExamples:
             "GOLDEN know-01 K{a}(p->q) expected=true got=true verdict=pass")
         assert ("READING perm-05 transition=false possibility=true"
                 in readings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lab", "--schema", "kt", "--samples", "-5"],
+    ["lab", "--schema", "kt", "--max-states", "-1"],
+    ["examples", "--no-schemas", "--samples", "-5"],
+    ["examples", "--no-schemas", "--max-states", "-1"],
+])
+def test_negative_sample_sizes_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s: expected a non-negative integer, got '%s'" % (
+        argv[-2], argv[-1]) in captured.err
