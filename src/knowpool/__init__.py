@@ -8,8 +8,8 @@ stress-tests the algebraic laws of these operations on generated models.
 """
 
 from .formula import (Atom, Bot, FormulaError, Formula, IdealAtom, OkAtom,
-                      ParseError, Schema, Top, expand, instantiate,
-                      is_boolean_positive, parse, print_formula)
+                      ParseError, Schema, Top, expand, instantiate, parse,
+                      print_formula)
 from .kripke import (Model, ModelError, Partition, PointedModel,
                      atoms_partition, dep_closure, dep_partition,
                      fingerprint, load, pointed, save)
@@ -33,7 +33,7 @@ __all__ = [
     "check_fact", "check_schema", "compare_readings", "dep_closure",
     "dep_partition", "enumerate_models", "expand", "extension",
     "fingerprint", "gen_model", "global_truth", "instantiate",
-    "is_boolean_positive", "load", "overlap", "parse", "permissible_share",
+    "load", "overlap", "parse", "permissible_share",
     "plan", "pointed", "print_formula", "resolve_update",
     "run_all", "run_reference_suite", "save", "service_desk",
     "service_desk_deontic", "share_update",

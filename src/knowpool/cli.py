@@ -55,8 +55,12 @@ def _count(text: str) -> int:
     return value
 
 
-def _parse_formula(text: str):
-    return parse(text)
+def _states(text: str) -> int:
+    # random models draw between one and this many states
+    if _count(text) == 0:
+        raise argparse.ArgumentTypeError(
+            "expected at least one state, got %r" % text)
+    return int(text)
 
 
 def _parse_shares(text: str):
@@ -84,7 +88,7 @@ def _innermost_state(result: CheckResult):
 
 def cmd_check(args) -> int:
     pm = _anchored(_load_model(args.model), args.state)
-    result = check(pm, _parse_formula(args.formula))
+    result = check(pm, parse(args.formula))
     print("true" if result else "false")
     if not result:
         state = _innermost_state(result)
@@ -108,7 +112,7 @@ def cmd_update(args) -> int:
 
 def cmd_plan(args) -> int:
     pm = _anchored(_load_model(args.model), args.state)
-    goal = _parse_formula(args.goal)
+    goal = parse(args.goal)
     found = search_plan(pm, goal, max_len=args.max,
                         require_permissible=not args.free)
     if found is None:
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", default="all")
     p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
     p.add_argument("--samples", type=_count, default=DEFAULT_CONFIG.samples)
-    p.add_argument("--max-states", type=_count,
+    p.add_argument("--max-states", type=_states,
                    default=DEFAULT_CONFIG.max_states)
     p.set_defaults(fn=cmd_lab)
 
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only the fact table and the two readings")
     p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
     p.add_argument("--samples", type=_count, default=DEFAULT_CONFIG.samples)
-    p.add_argument("--max-states", type=_count,
+    p.add_argument("--max-states", type=_states,
                    default=DEFAULT_CONFIG.max_states)
     p.set_defaults(fn=cmd_examples)
 

@@ -17,14 +17,17 @@ Atoms and agent names are lowercase identifiers.  Uppercase identifiers that
 are not operator keywords act as schema variables: placeholder formulas in
 formula position, placeholder agents in agent position.  `expand` rewrites
 the defined operators (E, Rk, P, Ob, Perm) into the kernel language.
+The passes over the tree here, printing aside, read the role of each node
+field from one table (`_ROLES`), mostly through `rebuild`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class FormulaError(ValueError):
@@ -287,6 +290,69 @@ class PermittedShare(Formula):
 
 
 # ---------------------------------------------------------------------------
+# field roles: the one place that says what each node field holds
+
+_SUB, _AGENT, _AGENTS, _PAYLOAD = "subformula", "agent", "agents", "payload"
+
+_ROLES = {
+    "body": _SUB, "left": _SUB, "right": _SUB,
+    "agent": _AGENT, "sender": _AGENT, "receiver": _AGENT, "leader": _AGENT,
+    "group": _AGENTS, "deps": _AGENTS,
+    "name": _PAYLOAD,
+}
+
+
+@functools.cache
+def _layout(cls: type) -> tuple:
+    """(field name, role) of each field of a node class, in field order."""
+    out = []
+    for fld in fields(cls):
+        if fld.name not in _ROLES:
+            raise FormulaError("field %s.%s has no role"
+                               % (cls.__name__, fld.name))
+        out.append((fld.name, _ROLES[fld.name]))
+    return tuple(out)
+
+
+def rebuild(f: Formula, sub: Callable[[Formula], Formula],
+            agent: Callable[[str], str] | None = None) -> Formula:
+    """Apply `sub` to each direct subformula and `agent`, if given, to each
+    agent name; return `f` itself when nothing changes."""
+    args = []
+    changed = False
+    for name, role in _layout(type(f)):
+        old = new = getattr(f, name)
+        if role is _SUB:
+            # by identity: comparing rewritten subtrees costs their depth
+            new = sub(old)
+            changed = changed or new is not old
+        elif agent is not None and role is not _PAYLOAD:
+            new = agent(old) if role is _AGENT else tuple(map(agent, old))
+            changed = changed or new != old
+        args.append(new)
+    return type(f)(*args) if changed else f
+
+
+def _children(f: Formula) -> list:
+    return [getattr(f, name) for name, role in _layout(type(f))
+            if role is _SUB]
+
+
+def _walk(f: Formula) -> Iterator[Formula]:
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(_children(g))
+
+
+def _nests_deeper(f: Formula, levels: int) -> bool:
+    # recursion stops after `levels` levels, so any tree is safe
+    return levels == 0 or any(_nests_deeper(c, levels - 1)
+                              for c in _children(f))
+
+
+# ---------------------------------------------------------------------------
 # tokenizer
 
 
@@ -356,15 +422,36 @@ def _tokenize(text: str) -> list:
 # parser
 
 
+# Deepest formula `parse` accepts, in nodes from root to leaf (an atom alone
+# has depth 1; parentheses count while parsing), so that the parser, printer,
+# `expand` and, for small groups, the evaluator stay inside the default
+# recursion limit.  Expansion deepens `E` and `Rk` by the size of the group.
+MAX_DEPTH = 64
+
+
+def _too_deep(tok: _Token) -> ParseError:
+    return ParseError("formula nests deeper than %d levels" % MAX_DEPTH,
+                      tok.line, tok.col)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def run(self) -> Formula:
         f = self.formula()
         self.expect("EOF", "end of input")
+        # every node takes at least one token, so short input is shallow
+        if len(self.toks) > MAX_DEPTH and _nests_deeper(f, MAX_DEPTH):
+            raise _too_deep(self.toks[0])
         return f
+
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(self.peek())
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -393,7 +480,9 @@ class _Parser:
         f = self.disj()
         if self.peek().kind == "ARROW":
             self.advance()
-            return Imp(f, self.imp())
+            self.enter()
+            f = Imp(f, self.imp())
+            self.depth -= 1
         return f
 
     def disj(self) -> Formula:
@@ -411,6 +500,12 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
+        self.enter()
+        f = self.prefixed()
+        self.depth -= 1
+        return f
+
+    def prefixed(self) -> Formula:
         tok = self.peek()
         if tok.kind == "NOT":
             self.advance()
@@ -632,26 +727,6 @@ def _round_trip_pairs(group: tuple) -> list:
 
 def expand(f: Formula) -> Formula:
     """Rewrite defined operators into the kernel language.  Idempotent."""
-    if isinstance(f, (Atom, Top, Bot, IdealAtom, OkAtom, MetaFormula)):
-        return f
-    if isinstance(f, Not):
-        return Not(expand(f.body))
-    if isinstance(f, And):
-        return And(expand(f.left), expand(f.right))
-    if isinstance(f, Or):
-        return Or(expand(f.left), expand(f.right))
-    if isinstance(f, Imp):
-        return Imp(expand(f.left), expand(f.right))
-    if isinstance(f, Iff):
-        return Iff(expand(f.left), expand(f.right))
-    if isinstance(f, K):
-        return K(f.agent, expand(f.body), f.deps)
-    if isinstance(f, D):
-        return D(f.group, expand(f.body))
-    if isinstance(f, Share):
-        return Share(f.sender, f.receiver, expand(f.body))
-    if isinstance(f, ResolveInfo):
-        return ResolveInfo(f.group, expand(f.body))
     if isinstance(f, Everybody):
         body = expand(f.body)
         g = K(f.group[0], body)
@@ -669,55 +744,11 @@ def expand(f: Formula) -> Formula:
         return Not(And(K(f.agent, Not(expand(f.body))), OkAtom(f.agent)))
     if isinstance(f, PermittedShare):
         return Share(f.sender, f.receiver, OkAtom(f.receiver))
-    raise FormulaError("cannot expand %r" % (f,))
-
-
-def is_boolean_positive(f: Formula) -> bool:
-    """True for formulas built from atoms with negation and conjunction only."""
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return is_boolean_positive(f.body)
-    if isinstance(f, And):
-        return is_boolean_positive(f.left) and is_boolean_positive(f.right)
-    return False
+    return rebuild(f, expand)
 
 
 # ---------------------------------------------------------------------------
-# traversal helpers
-
-
-def _children(f: Formula) -> tuple:
-    if isinstance(f, Not):
-        return (f.body,)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return (f.left, f.right)
-    if isinstance(f, (K, D, Share, ResolveInfo, Everybody, Resolution,
-                      LeaderResolution, Permitted, Obliged)):
-        return (f.body,)
-    return ()
-
-
-def _agent_slots(f: Formula) -> tuple:
-    if isinstance(f, K):
-        return (f.agent,) + f.deps
-    if isinstance(f, (D, ResolveInfo, Everybody, Resolution)):
-        return f.group
-    if isinstance(f, LeaderResolution):
-        return f.group
-    if isinstance(f, (Share, PermittedShare)):
-        return (f.sender, f.receiver)
-    if isinstance(f, (Permitted, Obliged, OkAtom)):
-        return (f.agent,)
-    return ()
-
-
-def _walk(f: Formula) -> Iterator[Formula]:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        stack.extend(_children(g))
+# queries
 
 
 def atoms_of(f: Formula) -> frozenset:
@@ -729,7 +760,7 @@ def agents_of(f: Formula) -> frozenset:
     """All agent names in agent position, schema placeholders included."""
     out = set()
     for g in _walk(f):
-        out.update(_agent_slots(g))
+        rebuild(g, lambda h: h, lambda a: out.add(a) or a)
     return frozenset(out)
 
 
@@ -763,44 +794,7 @@ def substitute(f: Formula, formulas: Mapping | None = None,
             if g.name not in fmap:
                 raise FormulaError("unbound formula variable %r" % g.name)
             return fmap[g.name]
-        if isinstance(g, (Atom, Top, Bot, IdealAtom)):
-            return g
-        if isinstance(g, OkAtom):
-            return OkAtom(sub_agent(g.agent))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
-        if isinstance(g, Imp):
-            return Imp(go(g.left), go(g.right))
-        if isinstance(g, Iff):
-            return Iff(go(g.left), go(g.right))
-        if isinstance(g, K):
-            return K(sub_agent(g.agent), go(g.body),
-                     tuple(sub_agent(d) for d in g.deps))
-        if isinstance(g, D):
-            return D(tuple(sub_agent(a) for a in g.group), go(g.body))
-        if isinstance(g, Share):
-            return Share(sub_agent(g.sender), sub_agent(g.receiver), go(g.body))
-        if isinstance(g, ResolveInfo):
-            return ResolveInfo(tuple(sub_agent(a) for a in g.group), go(g.body))
-        if isinstance(g, Everybody):
-            return Everybody(tuple(sub_agent(a) for a in g.group), go(g.body))
-        if isinstance(g, Resolution):
-            return Resolution(tuple(sub_agent(a) for a in g.group), go(g.body))
-        if isinstance(g, LeaderResolution):
-            return LeaderResolution(sub_agent(g.leader),
-                                    tuple(sub_agent(a) for a in g.group),
-                                    go(g.body))
-        if isinstance(g, Permitted):
-            return Permitted(sub_agent(g.agent), go(g.body))
-        if isinstance(g, Obliged):
-            return Obliged(sub_agent(g.agent), go(g.body))
-        if isinstance(g, PermittedShare):
-            return PermittedShare(sub_agent(g.sender), sub_agent(g.receiver))
-        raise FormulaError("cannot substitute in %r" % (g,))
+        return rebuild(g, go, sub_agent)
 
     return go(f)
 

@@ -7,9 +7,13 @@ a sorted normal form so every isomorphism class appears) and a seeded
 random tier.  Axioms claimed valid must survive the whole bank; axioms
 claimed invalid must exhibit a countermodel, searched for over a dedicated
 exhaustive deontic tier of up to four states.  Inference rules are checked
-in their per-model form (premises globally true here imply the conclusion
+in their per-model form (premise globally true here implies the conclusion
 globally true here), which is stronger than rule admissibility; their
-failures are reported but tolerated.
+failures are reported but tolerated.  A rule has one premise and is stored
+as the template `(premise) -> (conclusion)`, instantiated like an axiom.
+Axioms, rules and the hand-written checkers share one search loop
+(`Lab.check`): each supplies, per model, a generator of cases that either
+hold or name a refuted instance and state.
 
 The module also carries the golden fact table for the built-in example
 models and a comparison of the two candidate readings of the permission
@@ -22,13 +26,13 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from .formula import (And, Atom, Bot, Formula, IdealAtom, Iff, Imp, K, Not,
-                      OkAtom, Or, Permitted, PermittedShare, Schema, Share,
-                      instantiate, is_boolean_positive, meta_agents_of,
-                      meta_formulas_of, parse, print_formula, substitute)
+from .formula import (And, Atom, Formula, IdealAtom, Iff, Imp, K, Not,
+                      OkAtom, Or, PermittedShare, Schema, Share, expand,
+                      instantiate, meta_agents_of, meta_formulas_of, parse,
+                      rebuild, substitute)
 from .kripke import Model, atoms_partition, dep_closure
 from .presets import PRESETS
-from .semantics import EvalContext, extension
+from .semantics import EvalContext, extension, global_truth
 
 AGENT_NAMES = ("a", "b", "c")
 ATOM_NAMES = ("p", "q", "r")
@@ -155,9 +159,7 @@ class SchemaSpec:
     name: str
     kind: str                     # "axiom" | "rule" | "custom"
     expect: str                   # "valid" | "invalid" | "report" | "rule"
-    template: str | None = None
-    premises: tuple = ()
-    conclusion: str | None = None
+    template: str | None = None   # a rule's is "(premise) -> (conclusion)"
     guard: str | None = None      # None | "boolean" | "atom"
     deontic: bool = False
     relax: str | None = None      # None | "receiver"
@@ -170,9 +172,10 @@ def _axiom(name, template, expect="valid", guard=None, deontic=False,
                       deontic=deontic, relax=relax)
 
 
-def _rule(name, premises, conclusion, deontic=False):
-    return SchemaSpec(name, "rule", "rule", premises=tuple(premises),
-                      conclusion=conclusion, deontic=deontic)
+def _rule(name, premise, conclusion, deontic=False):
+    return SchemaSpec(name, "rule", "rule",
+                      template="(%s) -> (%s)" % (premise, conclusion),
+                      deontic=deontic)
 
 
 _SPECS = (
@@ -242,14 +245,14 @@ _SPECS = (
            "(K{B}PHI <-> K{C}PHI) -> (Perm(A>B) <-> Perm(A>C))",
            expect="invalid", deontic=True, relax="receiver"),
     # inference rules, per-model form
-    _rule("ns", ("PHI",), "[A>B]PHI"),
-    _rule("nec_a", ("PHI",), "K{A|B}PHI"),
-    _rule("inc_share", ("PHI -> [A>B]PSI",), "K{A}PHI -> [A>B]K{B}PSI"),
-    _rule("rk", ("PHI & PSI -> CHI",), "[A>B]PHI & [A>B]PSI -> [A>B]CHI"),
-    _rule("rm_share", ("PHI & PSI -> [A>B]CHI",),
+    _rule("ns", "PHI", "[A>B]PHI"),
+    _rule("nec_a", "PHI", "K{A|B}PHI"),
+    _rule("inc_share", "PHI -> [A>B]PSI", "K{A}PHI -> [A>B]K{B}PSI"),
+    _rule("rk", "PHI & PSI -> CHI", "[A>B]PHI & [A>B]PSI -> [A>B]CHI"),
+    _rule("rm_share", "PHI & PSI -> [A>B]CHI",
           "K{C}PHI & K{C}PSI -> [A>B]K{C}CHI"),
-    _rule("p_nec", ("PHI",), "P{A}PHI", deontic=True),
-    _rule("p_re", ("PHI -> PSI",), "P{A}PHI -> P{A}PSI", deontic=True),
+    _rule("p_nec", "PHI", "P{A}PHI", deontic=True),
+    _rule("p_re", "PHI -> PSI", "P{A}PHI -> P{A}PSI", deontic=True),
 )
 
 SCHEMAS = {spec.name: spec for spec in _SPECS}
@@ -312,22 +315,6 @@ def _pool_for(spec: SchemaSpec, m: Model, nvars: int):
 # instantiation helpers
 
 
-def _parsed(spec: SchemaSpec):
-    tpl = parse(spec.template) if spec.template else None
-    prems = tuple(parse(t) for t in spec.premises)
-    conc = parse(spec.conclusion) if spec.conclusion else None
-    return tpl, prems, conc
-
-
-def _agent_arity(spec: SchemaSpec) -> int:
-    tpl, prems, conc = _parsed(spec)
-    vars_ = set()
-    for f in (tpl, conc, *prems):
-        if f is not None:
-            vars_ |= meta_agents_of(f)
-    return len(vars_)
-
-
 def _relaxed_instances(template: Formula, pool, agents):
     # receiver relaxation: B and C distinct, A unrestricted
     fvars = sorted(meta_formulas_of(template))
@@ -342,33 +329,16 @@ def _relaxed_instances(template: Formula, pool, agents):
                     yield inst
 
 
-def _joint_instances(parts, pool, agents):
-    """Instantiate several templates under one shared assignment."""
-    fvars, avars = set(), set()
-    for f in parts:
-        fvars |= meta_formulas_of(f)
-        avars |= meta_agents_of(f)
-    fvars, avars = sorted(fvars), sorted(avars)
-    for combo in itertools.permutations(agents, len(avars)):
-        amap = dict(zip(avars, combo))
-        for fs in itertools.product(pool, repeat=len(fvars)):
-            fmap = dict(zip(fvars, fs))
-            yield tuple(substitute(f, fmap, amap) for f in parts)
-
-
 # ---------------------------------------------------------------------------
 # checking
 
 
-def _globally(m: Model, f: Formula, ctx: EvalContext) -> bool:
-    return len(extension(m, f, ctx)) == len(m.states)
-
-
-def _falsifying_state(m: Model, f: Formula, ctx: EvalContext):
+def _refuted(m: Model, f: Formula, ctx: EvalContext):
+    """None if `f` holds at every state, else `(f, first refuting state)`."""
     ext = extension(m, f, ctx)
     for s in m.states:
         if s not in ext:
-            return s
+            return f, s
     return None
 
 
@@ -398,230 +368,134 @@ class Lab:
             yield m, EvalContext()
 
     def check(self, name: str) -> LabReport:
+        """Run the schema's cases model by model, up to the first refuted one.
+
+        A case generator yields, for one model, None per case that holds and
+        `(instance, state)` for a refuted one; models with fewer agents than
+        the schema needs are skipped and not counted.
+        """
         spec = SCHEMAS[name]
         if spec.kind == "custom":
-            return _CHECKERS[spec.checker](self, spec)
-        if spec.kind == "rule":
-            return self._check_rule(spec)
-        return self._check_axiom(spec)
-
-    def run_all(self):
-        return [self.check(name) for name in SCHEMAS]
-
-    # -- kinds ------------------------------------------------------------
-
-    def _models_for(self, spec: SchemaSpec):
-        if spec.expect == "invalid":
-            return self.invalidity_bank()
-        return iter(self.bank(spec.deontic))
-
-    def _axiom_instances(self, spec, template, m, nvars):
-        key = (spec.name, m.agents, m.atoms)
-        try:
-            return self._instances[key]
-        except KeyError:
-            pass
-        pool = _pool_for(spec, m, nvars)
-        if spec.relax == "receiver":
-            insts = list(_relaxed_instances(template, pool, m.agents))
+            cases, need = _CHECKERS[spec.checker]
         else:
-            insts = list(instantiate(Schema(spec.name, template),
-                                     pool, m.agents))
-        self._instances[key] = insts
-        return insts
-
-    def _check_axiom(self, spec: SchemaSpec) -> LabReport:
-        template, _, _ = _parsed(spec)
-        arity = _agent_arity(spec)
-        nvars = len(meta_formulas_of(template))
+            cases, need = self._template_cases(spec)
+        bank = self.invalidity_bank() if spec.expect == "invalid" \
+            else self.bank(spec.deontic)
         models = instances = 0
         found = None
-        for m, ctx in self._models_for(spec):
-            if len(m.agents) < (2 if spec.relax == "receiver" else arity):
+        for m, ctx in bank:
+            if len(m.agents) < need:
                 continue
             models += 1
-            for inst in self._axiom_instances(spec, template, m, nvars):
+            for case in cases(m, ctx):
                 instances += 1
-                bad = _falsifying_state(m, inst, ctx)
-                if bad is not None:
-                    found = (m, inst, bad)
+                if case is not None:
+                    found = (m,) + case
                     break
             if found:
                 break
-        return self._report(spec, models, instances, found)
-
-    def _rule_instances(self, spec, prems, conc, m, nvars):
-        key = (spec.name, m.agents, m.atoms)
-        try:
-            return self._instances[key]
-        except KeyError:
-            pass
-        pool = _pool_for(spec, m, nvars)
-        insts = list(_joint_instances(prems + (conc,), pool, m.agents))
-        self._instances[key] = insts
-        return insts
-
-    def _check_rule(self, spec: SchemaSpec) -> LabReport:
-        _, prems, conc = _parsed(spec)
-        arity = _agent_arity(spec)
-        nvars = len({v for f in prems + (conc,)
-                     for v in meta_formulas_of(f)})
-        models = instances = 0
-        found = None
-        for m, ctx in self._models_for(spec):
-            if len(m.agents) < arity:
-                continue
-            models += 1
-            for parts in self._rule_instances(spec, prems, conc, m, nvars):
-                heads, tail = parts[:-1], parts[-1]
-                if not all(_globally(m, f, ctx) for f in heads):
-                    continue
-                instances += 1
-                bad = _falsifying_state(m, tail, ctx)
-                if bad is not None:
-                    found = (m, tail, bad)
-                    break
-            if found:
-                break
-        note = "rule-form failure (per-model)" if found else None
-        return self._report(spec, models, instances, found, note)
-
-    def _report(self, spec, models, instances, found, note=None):
+        note = None
+        if found and spec.kind == "rule":
+            note = "rule-form failure (per-model)"
         verdict = "countermodel" if found else "valid-on-sample"
         return LabReport(spec.name, spec.expect, models, instances,
                          verdict, found, note)
 
+    def _template_cases(self, spec: SchemaSpec):
+        # An axiom's case is an instance.  A rule's is an instance of its
+        # `premise -> conclusion` template whose premise holds globally; the
+        # conclusion alone is then checked.
+        template = parse(spec.template)
+        nvars = len(meta_formulas_of(template))
+        need = 2 if spec.relax == "receiver" else len(meta_agents_of(template))
 
-# -- custom checkers ------------------------------------------------------
+        def cases(m, ctx):
+            key = (spec.name, m.agents, m.atoms)
+            if key not in self._instances:
+                pool = _pool_for(spec, m, nvars)
+                if spec.relax == "receiver":
+                    insts = _relaxed_instances(template, pool, m.agents)
+                else:
+                    insts = instantiate(Schema(spec.name, template), pool,
+                                        m.agents)
+                self._instances[key] = list(insts)
+            for inst in self._instances[key]:
+                if spec.kind == "rule":
+                    if not global_truth(m, inst.left, ctx):
+                        continue
+                    inst = inst.right
+                yield _refuted(m, inst, ctx)
+
+        return cases, need
 
 
-def _check_cl(lab: Lab, spec: SchemaSpec) -> LabReport:
+# -- custom checkers: per-model case generators ---------------------------
+
+
+def _cl_cases(m: Model, ctx: EvalContext):
     """Dependent knowledge always has a definable witness.
 
     Whenever A knows PHI dependent on B at w, the dependence closure of B
     at w is a union of blocks covering B's cell whose meet with A's cell
     sits inside PHI; it realises the existential witness in one shot.
     """
-    models = instances = 0
-    found = None
-    for m, ctx in lab.bank(False):
-        if len(m.agents) < 2:
-            continue
-        models += 1
-        _, general = _pools(m)
-        blocks = atoms_partition(m)
-        for x, y in itertools.permutations(m.agents, 2):
-            for w in m.states:
-                cl = dep_closure(m, y, w)
-                reach = m.cell(x, w) & cl
-                for phi in general:
-                    instances += 1
-                    ext = extension(m, phi, ctx)
-                    if not reach <= ext:
-                        continue
-                    witness_ok = (
-                        m.cell(y, w) <= cl
-                        and all(blocks.block_of(s) <= cl for s in cl)
-                        and (m.cell(x, w) & cl) <= ext)
-                    if not witness_ok:
-                        found = (m, K(x, phi, (y,)), w)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-    return LabReport(spec.name, spec.expect, models, instances,
-                     "countermodel" if found else "valid-on-sample", found)
+    _, general = _pools(m)
+    blocks = atoms_partition(m)
+    for x, y in itertools.permutations(m.agents, 2):
+        for w in m.states:
+            cl = dep_closure(m, y, w)
+            reach = m.cell(x, w) & cl
+            for phi in general:
+                ext = extension(m, phi, ctx)
+                witness_ok = not reach <= ext or (
+                    m.cell(y, w) <= cl
+                    and all(blocks.block_of(s) <= cl for s in cl)
+                    and (m.cell(x, w) & cl) <= ext)
+                yield None if witness_ok else (K(x, phi, (y,)), w)
 
 
-def _check_int_plus(lab: Lab, spec: SchemaSpec) -> LabReport:
+def _int_plus_cases(m: Model, ctx: EvalContext):
     """Post-share receiver knowledge is grounded before the share.
 
     If sharing from A makes B know PHI, then B's old cell meets the
     dependence closure of A inside the updated extension of PHI, which is
     the definable witness behind the receiver's new knowledge.
     """
-    models = instances = 0
-    found = None
-    for m, ctx in lab.bank(False):
-        if len(m.agents) < 2:
-            continue
-        models += 1
-        _, general = _pools(m)
-        for x, y in itertools.permutations(m.agents, 2):
-            for w in m.states:
-                after = ctx.updated(m, w, x, y)
-                for phi in general:
-                    instances += 1
-                    ext = extension(after, phi, ctx)
-                    if not after.cell(y, w) <= ext:
-                        continue
-                    grounded = (m.cell(y, w) & dep_closure(m, x, w)) <= ext
-                    if not grounded:
-                        found = (m, Share(x, y, K(y, phi)), w)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-    return LabReport(spec.name, spec.expect, models, instances,
-                     "countermodel" if found else "valid-on-sample", found)
+    _, general = _pools(m)
+    for x, y in itertools.permutations(m.agents, 2):
+        for w in m.states:
+            after = ctx.updated(m, w, x, y)
+            for phi in general:
+                ext = extension(after, phi, ctx)
+                grounded = not after.cell(y, w) <= ext or \
+                    (m.cell(y, w) & dep_closure(m, x, w)) <= ext
+                yield None if grounded else (Share(x, y, K(y, phi)), w)
 
 
-def _check_o_poss(lab: Lab, spec: SchemaSpec) -> LabReport:
+def _o_poss_cases(m: Model, ctx: EvalContext):
     """An ideal transition somewhere implies some agent can access one."""
-    models = instances = 0
-    found = None
-    for m, ctx in lab.bank(True):
-        models += 1
-        instances += 1
-        hat = Not(K(m.agents[0], Not(IdealAtom())))
-        for ag in m.agents[1:]:
-            hat = Or(hat, Not(K(ag, Not(IdealAtom()))))
-        inst = Imp(IdealAtom(), hat)
-        bad = _falsifying_state(m, inst, ctx)
-        if bad is not None:
-            found = (m, inst, bad)
-            break
-    return LabReport(spec.name, spec.expect, models, instances,
-                     "countermodel" if found else "valid-on-sample", found)
+    hat = Not(K(m.agents[0], Not(IdealAtom())))
+    for ag in m.agents[1:]:
+        hat = Or(hat, Not(K(ag, Not(IdealAtom()))))
+    yield _refuted(m, Imp(IdealAtom(), hat), ctx)
 
 
-def _check_perm_sender_swap(lab: Lab, spec: SchemaSpec) -> LabReport:
+def _perm_sender_swap_cases(m: Model, ctx: EvalContext):
     """Senders with identical relations grant the same share permissions."""
-    models = instances = 0
-    found = None
-    for m, ctx in lab.bank(True):
-        if len(m.agents) < 2:
+    for x, y in itertools.permutations(m.agents, 2):
+        if m.rel[x] != m.rel[y]:
             continue
-        models += 1
-        for x, y in itertools.permutations(m.agents, 2):
-            if m.rel[x] != m.rel[y]:
-                continue
-            for z in m.agents:
-                inst = Iff(PermittedShare(x, z), PermittedShare(y, z))
-                instances += 1
-                bad = _falsifying_state(m, inst, ctx)
-                if bad is not None:
-                    found = (m, inst, bad)
-                    break
-            if found:
-                break
-        if found:
-            break
-    return LabReport(spec.name, spec.expect, models, instances,
-                     "countermodel" if found else "valid-on-sample", found)
+        for z in m.agents:
+            inst = Iff(PermittedShare(x, z), PermittedShare(y, z))
+            yield _refuted(m, inst, ctx)
 
 
+# checker key -> (case generator, agents a model needs)
 _CHECKERS = {
-    "cl": _check_cl,
-    "int_plus": _check_int_plus,
-    "o_poss": _check_o_poss,
-    "perm_sender_swap": _check_perm_sender_swap,
+    "cl": (_cl_cases, 2),
+    "int_plus": (_int_plus_cases, 2),
+    "o_poss": (_o_poss_cases, 0),
+    "perm_sender_swap": (_perm_sender_swap_cases, 2),
 }
 
 
@@ -630,16 +504,12 @@ _LABS = {}
 
 def check_schema(name: str, cfg: GenConfig = DEFAULT_CONFIG) -> LabReport:
     """Check one registered schema, reusing banks across calls."""
-    if cfg not in _LABS:
-        _LABS[cfg] = Lab(cfg)
-    return _LABS[cfg].check(name)
+    return _LABS.setdefault(cfg, Lab(cfg)).check(name)
 
 
 def run_all(cfg: GenConfig = DEFAULT_CONFIG):
     """Check every registered schema at the given config."""
-    if cfg not in _LABS:
-        _LABS[cfg] = Lab(cfg)
-    return _LABS[cfg].run_all()
+    return [check_schema(name, cfg) for name in SCHEMAS]
 
 
 # ---------------------------------------------------------------------------
@@ -762,34 +632,14 @@ def check_fact(fact: GoldenFact, ctx: EvalContext | None = None) -> FactResult:
 
 
 def _possibility_reading(f: Formula) -> Formula:
-    """Replace every Ok-style conjunct by 'does not know there is no ideal'."""
-    def hat(agent):
-        return Not(K(agent, Not(IdealAtom())))
-
+    """Replace every Ok atom of the expanded formula by 'does not know there
+    is no ideal'."""
     def go(g):
         if isinstance(g, OkAtom):
-            return hat(g.agent)
-        if isinstance(g, Permitted):
-            return And(K(g.agent, go(g.body)), hat(g.agent))
-        if isinstance(g, PermittedShare):
-            return Share(g.sender, g.receiver, hat(g.receiver))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
-        if isinstance(g, Imp):
-            return Imp(go(g.left), go(g.right))
-        if isinstance(g, Iff):
-            return Iff(go(g.left), go(g.right))
-        if isinstance(g, K):
-            return K(g.agent, go(g.body), g.deps)
-        if isinstance(g, Share):
-            return Share(g.sender, g.receiver, go(g.body))
-        return g
+            return Not(K(g.agent, Not(IdealAtom())))
+        return rebuild(g, go)
 
-    return go(f)
+    return go(expand(f))
 
 
 def compare_readings(ctx: EvalContext | None = None):

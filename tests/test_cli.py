@@ -1,6 +1,7 @@
 """Command line interface: exit codes and line formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,13 @@ class TestCheck:
             ["check", "--model", files["plain"], "--formula", "Ok{a}"],
             ["check", "--model", str(files["dir"] / "none.json"),
              "--formula", "p"],
+            # nested past the parser's depth bound
+            ["check", "--model", files["plain"],
+             "--formula", "(" * 250 + "p" + ")" * 250],
+            ["check", "--model", files["plain"],
+             "--formula", "~" * 5000 + "p"],
+            ["plan", "--model", files["plain"],
+             "--goal", " & ".join(["p"] * 3000)],
         )
         for argv in cases:
             assert main(argv) == 2, argv
@@ -179,6 +187,12 @@ class TestExamples:
         assert ("READING perm-05 transition=false possibility=true"
                 in readings)
 
+    def test_output_is_byte_identical_to_the_recording(self, capsys):
+        # refactors of the formula layer must not move a single byte
+        recorded = Path(__file__).with_name("examples_no_schemas.txt")
+        assert main(["examples", "--no-schemas"]) == 1
+        assert capsys.readouterr().out == recorded.read_text()
+
 
 @pytest.mark.parametrize("argv", [
     ["lab", "--schema", "kt", "--samples", "-5"],
@@ -194,3 +208,14 @@ def test_negative_sample_sizes_are_usage_errors(argv, capsys):
     assert captured.out == ""
     assert "%s: expected a non-negative integer, got '%s'" % (
         argv[-2], argv[-1]) in captured.err
+
+
+@pytest.mark.parametrize("command", ["lab", "examples"])
+def test_zero_max_states_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--max-states", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-states: expected at least one state, got '0'" \
+        in captured.err

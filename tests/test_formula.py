@@ -1,17 +1,21 @@
 """Parser, printer, expansion, and schema instantiation."""
 
+from dataclasses import dataclass, fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knowpool.formula import (And, Atom, Bot, D, Everybody, FormulaError,
-                              IdealAtom, Iff, Imp, K, LeaderResolution,
-                              MetaFormula, Not, OkAtom, Or, ParseError,
-                              Permitted, PermittedShare, Resolution,
-                              ResolveInfo, Schema, Share, Top, agents_of,
-                              atoms_of, expand, instantiate,
-                              is_boolean_positive, meta_agents_of,
-                              meta_formulas_of, parse, print_formula,
-                              substitute)
+from knowpool import formula
+from knowpool.formula import (MAX_DEPTH, And, Atom, Bot, D, Everybody,
+                              Formula, FormulaError, IdealAtom, Iff, Imp, K,
+                              LeaderResolution, MetaFormula, Not, OkAtom, Or,
+                              ParseError, Permitted, PermittedShare,
+                              Resolution, ResolveInfo, Schema, Share, Top,
+                              agents_of, atoms_of, expand, instantiate,
+                              meta_agents_of, meta_formulas_of, parse,
+                              print_formula, rebuild, substitute)
+from knowpool.presets import service_desk_deontic
+from knowpool.semantics import extension
 
 
 class TestParse:
@@ -118,12 +122,69 @@ class TestQueries:
         assert atoms_of(f) == {"p", "q"}
         assert agents_of(f) == {"a", "b", "c"}
 
-    def test_boolean_positive(self):
-        assert is_boolean_positive(parse("p & ~q"))
-        assert is_boolean_positive(parse("~(p & q)"))
-        assert not is_boolean_positive(parse("p | q"))
-        assert not is_boolean_positive(parse("K{a}p"))
-        assert not is_boolean_positive(parse("p -> q"))
+
+class TestDepthBound:
+    # (at the bound, one level past it) for each way of nesting
+    SHAPES = {
+        "negation": ("~" * (MAX_DEPTH - 1) + "p", "~" * MAX_DEPTH + "p"),
+        "parentheses": ("(" * (MAX_DEPTH - 1) + "p" + ")" * (MAX_DEPTH - 1),
+                        "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH),
+        "conjunction": (" & ".join(["p"] * MAX_DEPTH),
+                        " & ".join(["p"] * (MAX_DEPTH + 1))),
+        "implication": (" -> ".join(["p"] * MAX_DEPTH),
+                        " -> ".join(["p"] * (MAX_DEPTH + 1))),
+        "share": ("[a>b]" * (MAX_DEPTH - 1) + "p",
+                  "[a>b]" * MAX_DEPTH + "p"),
+        "mixed": ("~" * (MAX_DEPTH - 2) + "(p & q)",
+                  "~" * (MAX_DEPTH - 2) + "(p & q & r)"),
+        "resolution": ("Rk{a,b,c}" * (MAX_DEPTH - 1) + "p",
+                       "Rk{a,b,c}" * MAX_DEPTH + "p"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bound_is_exact(self, shape):
+        at, past = self.SHAPES[shape]
+        f = parse(at)
+        assert parse(print_formula(f)) == f
+        extension(service_desk_deontic(), expand(f))
+        with pytest.raises(ParseError, match="deeper than %d" % MAX_DEPTH):
+            parse(past)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 250 + "p" + ")" * 250,
+        "~" * 5000 + "p",
+        " & ".join(["p"] * 3000),
+        "~(" * 30 + " & ".join(["p"] * 40) + ")" * 30,
+    ])
+    def test_deep_input_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+class TestRebuild:
+    def test_every_field_has_exactly_one_role(self):
+        nodes = [cls for cls in Formula.__subclasses__()
+                 if cls.__module__ == formula.__name__]
+        assert len(nodes) == 21
+        for cls in nodes:
+            layout = formula._layout(cls)
+            assert [name for name, _ in layout] == \
+                [fld.name for fld in fields(cls)]
+            assert all(role in ("subformula", "agent", "agents", "payload")
+                       for _, role in layout)
+
+    def test_a_field_without_a_role_raises(self):
+        @dataclass(frozen=True)
+        class Odd(Formula):
+            weight: int
+
+        with pytest.raises(FormulaError, match="Odd.weight has no role"):
+            rebuild(Odd(3), lambda g: g)
+
+    def test_agents_are_renamed_in_every_slot(self):
+        f = parse("Rk{a;a,b}D{a,b}K{a|b}[b>a]Perm(a>b) & Ok{b}")
+        assert substitute(f, agents={"a": "b", "b": "a"}) == \
+            parse("Rk{b;b,a}D{b,a}K{b|a}[a>b]Perm(b>a) & Ok{a}")
 
 
 class TestSchema:
@@ -204,3 +265,10 @@ def test_print_parse_round_trip(f):
 def test_expand_idempotent(f):
     once = expand(f)
     assert expand(once) == once
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_formulas())
+def test_rebuild_with_identity_returns_the_node(f):
+    assert rebuild(f, lambda g: g) is f
+    assert rebuild(f, lambda g: g, lambda a: a) is f

@@ -1,12 +1,14 @@
 """Schema library, model generators, and the reference fact suite."""
 
-from knowpool.formula import parse
+import pytest
+
+from knowpool.formula import OkAtom, _walk, expand, parse, print_formula
 from knowpool.kripke import Model, PointedModel
 from knowpool.lab import (DEFAULT_CONFIG, GOLDEN_FACTS, REQUIRED_INVALID,
                           REQUIRED_VALID, REPORT_ONLY, RULES, SCHEMAS,
                           GenConfig, check_fact, check_schema,
                           compare_readings, enumerate_models, gen_model,
-                          run_reference_suite)
+                          run_reference_suite, _possibility_reading)
 from knowpool.presets import PRESETS
 from knowpool.semantics import extension
 
@@ -69,6 +71,42 @@ class TestSchemaChecks:
         assert check_schema("p_nec", CFG).verdict == "countermodel"
 
 
+# name -> (models, instances, verdict, (printed instance, state) or None),
+# recorded before the lab's checks were folded into one search loop
+PINNED = {
+    "kt": (556, 13560, "valid-on-sample", None),
+    "cl": (556, 40704, "valid-on-sample", None),
+    "int_minus": (8, 598, "countermodel",
+                  ("[a>b]K{c}K{b}p <-> K{c}[a>b]K{b}p", "w1")),
+    "p_4": (5, 99, "countermodel", ("P{a}~p -> P{a}P{a}~p", "w0")),
+    "fcp1": (1, 2, "countermodel",
+             ("P{a}(p | ~p) -> P{a}p & P{a}~p", "w0")),
+    "fcp2": (1, 5, "countermodel", ("P{a}~p -> P{a}(~p & p)", "w0")),
+    "p_5": (5, 97, "countermodel", ("~P{a}~p -> P{a}~P{a}~p", "w1")),
+    "perm_receiver_swap": (
+        10, 433, "countermodel",
+        ("(K{a}p <-> K{b}p) -> (Perm(a>a) <-> Perm(a>b))", "w0")),
+    "o_poss": (3126, 3126, "valid-on-sample", None),
+    "p_d": (3126, 6264, "valid-on-sample", None),
+    "perm_sender_swap": (3126, 2490, "valid-on-sample", None),
+    "nec_a": (556, 3870, "valid-on-sample", None),
+    "ns": (10, 110, "countermodel", ("[b>a]~K{a}p", "w1")),
+    "p_nec": (5, 49, "countermodel", ("P{a}~p", "w1")),
+    "inc_share": (556, 11846, "valid-on-sample", None),
+    "int_plus": (556, 40704, "valid-on-sample", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_report_is_pinned(name):
+    rep = check_schema(name, CFG)
+    shown = None
+    if rep.countermodel is not None:
+        _, instance, state = rep.countermodel
+        shown = (print_formula(instance), state)
+    assert (rep.models, rep.instances, rep.verdict, shown) == PINNED[name]
+
+
 class TestGenerators:
     def test_gen_model_is_deterministic_and_valid(self):
         for i in range(30):
@@ -117,6 +155,15 @@ class TestReferenceSuite:
         for r in rows:
             if r.label in differing:
                 assert not r.transition and r.possibility
+
+    @pytest.mark.parametrize("text", [
+        "Ob{c}p", "D{a,b}Ok{c}", "E{a,c}P{c}p", "Ri{a,c}Ok{c}",
+        "Rk{a,c}Ok{c}", "Rk{a;a,c}Ok{c}",
+    ])
+    def test_possibility_reading_rewrites_every_ok_atom(self, text):
+        # no Ok atom may survive into the formula that is evaluated
+        rewritten = expand(_possibility_reading(parse(text)))
+        assert not any(isinstance(g, OkAtom) for g in _walk(rewritten))
 
     def test_report_without_schemas(self):
         report = run_reference_suite(CFG, include_schemas=False)
