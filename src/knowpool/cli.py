@@ -241,6 +241,11 @@ def main(argv=None) -> int:
     except (CliError, FormulaError, ModelError, EvalError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        # parse bounds the written depth, but E and Rk expand to chains as
+        # long as their group
+        print("error: formula too deep to evaluate", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,24 +1,17 @@
 """Formula syntax: AST nodes, parser, printer, and macro expansion.
 
-Concrete syntax, lowest precedence first:
-
-    iff     := imp ("<->" imp)*
-    imp     := or ("->" imp)?            right associative
-    or      := and ("|" and)*
-    and     := unary ("&" unary)*
-    unary   := "~" unary | prefix unary | primary
-    prefix  := "K{" agent ("|" agents)? "}" | "D{" agents "}" | "E{" agents "}"
-             | "Ri{" agents "}" | "Rk{" agents "}" | "Rk{" agent ";" agents "}"
-             | "P{" agent "}" | "Ob{" agent "}" | "[" agent ">" agent "]"
-    primary := "true" | "false" | "O" | "Ok{" agent "}"
-             | "Perm(" agent ">" agent ")" | ATOM | "(" iff ")"
+Concrete syntax: binary connectives, then prefix operators, each applying
+to the prefix formula that follows, then atomic formulas and parenthesized
+formulas.  Two tables say how every operator is written, and the parser and
+printer both read them: `_BINARY` lists the connectives from loosest to
+tightest, and `_HEADS` the head of every other operator.
 
 Atoms and agent names are lowercase identifiers.  Uppercase identifiers that
 are not operator keywords act as schema variables: placeholder formulas in
 formula position, placeholder agents in agent position.  `expand` rewrites
 the defined operators (E, Rk, P, Ob, Perm) into the kernel language.
-The passes over the tree here, printing aside, read the role of each node
-field from one table (`_ROLES`), mostly through `rebuild`.
+The passes over the tree read the role of each node field from one table
+(`_ROLES`), mostly through `rebuild`.
 """
 
 from __future__ import annotations
@@ -26,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping
 
 
@@ -45,12 +38,12 @@ class ParseError(FormulaError):
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _META_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*\Z")
-_KEYWORDS = frozenset({"K", "D", "E", "Ri", "Rk", "P", "Ob", "Perm", "O", "Ok"})
-_RESERVED = frozenset({"true", "false"})
+# operator keywords, which no atom, agent or schema variable may be named,
+# are read off the syntax table below (`_KEYWORDS`)
 
 
 def _valid_agent(name: object) -> bool:
-    if not isinstance(name, str) or name in _KEYWORDS or name in _RESERVED:
+    if not isinstance(name, str) or name in _KEYWORDS:
         return False
     return bool(_NAME_RE.match(name) or _META_RE.match(name))
 
@@ -84,7 +77,7 @@ class Atom(Formula):
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not _NAME_RE.match(self.name) \
-                or self.name in _RESERVED:
+                or self.name in _KEYWORDS:
             raise FormulaError("bad atom name %r" % (self.name,))
 
 
@@ -191,7 +184,7 @@ class D(Formula):
 
 @dataclass(frozen=True)
 class Share(Formula):
-    """`[sender>receiver]body`: body holds after the sender's share."""
+    """Body holds after the sender shares with the receiver."""
 
     sender: str
     receiver: str
@@ -419,6 +412,59 @@ def _tokenize(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# concrete syntax: the one place that says how each operator is written
+
+# binary connectives, loosest first: (token, node class, right associative)
+_BINARY = (("<->", Iff, False), ("->", Imp, True), ("|", Or, False),
+           ("&", And, False))
+
+# Every other operator's head, with each agent field written as its field
+# name.  A node with a body is a prefix operator whose body follows the
+# head.  An agent tuple with a default (K's deps) may be left out together
+# with the separator before it.  Heads that share a keyword are tried in
+# this order.
+_HEADS = (
+    (Top, "true"), (Bot, "false"), (IdealAtom, "O"), (OkAtom, "Ok{agent}"),
+    (PermittedShare, "Perm(sender>receiver)"), (Not, "~"),
+    (K, "K{agent|deps}"), (D, "D{group}"), (Everybody, "E{group}"),
+    (ResolveInfo, "Ri{group}"), (Resolution, "Rk{group}"),
+    (LeaderResolution, "Rk{leader;group}"), (Share, "[sender>receiver]"),
+    (Permitted, "P{agent}"), (Obliged, "Ob{agent}"),
+)
+
+# role of the separator before an agent tuple that may be left out
+_OPTIONAL = "optional"
+
+
+def _program(cls: type, head: str) -> tuple:
+    """The head as (token kind, text, field role) steps.  An agent field's
+    text is its field name; a literal token has no role."""
+    roles = dict(_layout(cls))
+    defaults = {f.name for f in fields(cls) if f.default is not MISSING}
+    toks = _tokenize(head)
+    steps = []
+    for tok, after in zip(toks, toks[1:]):  # the last token is EOF
+        role = roles.get(tok.text)
+        if role is None and after.text in defaults:
+            role = _OPTIONAL
+        steps.append((tok.kind, tok.text, role))
+    return tuple(steps)
+
+
+# node class -> (head program, whether a body follows)
+_SYNTAX = {cls: (_program(cls, head), "body" in dict(_layout(cls)))
+           for cls, head in _HEADS}
+# text of a head's first token -> the node classes whose head it starts
+_STARTS = {}
+for _cls, (_steps, _) in _SYNTAX.items():
+    _STARTS.setdefault(_steps[0][1], []).append(_cls)
+_KEYWORDS = frozenset(word for word in _STARTS if word[0].isalpha())
+# binding strength: a binary node's position in _BINARY from 1, then heads
+_LEVEL = {cls: level for level, (_, cls, _) in enumerate(_BINARY, 1)}
+_PREFIX = len(_BINARY) + 1
+
+
+# ---------------------------------------------------------------------------
 # parser
 
 
@@ -441,7 +487,7 @@ class _Parser:
         self.depth = 0
 
     def run(self) -> Formula:
-        f = self.formula()
+        f = self.binary(0)
         self.expect("EOF", "end of input")
         # every node takes at least one token, so short input is shallow
         if len(self.toks) > MAX_DEPTH and _nests_deeper(f, MAX_DEPTH):
@@ -469,155 +515,77 @@ class _Parser:
                              tok.line, tok.col)
         return self.advance()
 
-    def formula(self) -> Formula:
-        f = self.imp()
-        while self.peek().kind == "DARROW":
+    def binary(self, level: int) -> Formula:
+        """Parse the connectives of `_BINARY[level:]`."""
+        if level == len(_BINARY):
+            return self.unary()
+        token, cls, right = _BINARY[level]
+        f = self.binary(level + 1)
+        while self.peek().text == token:
             self.advance()
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            self.enter()
-            f = Imp(f, self.imp())
-            self.depth -= 1
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "BAR":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "AND":
-            self.advance()
-            f = And(f, self.unary())
+            if right:
+                self.enter()
+                f = cls(f, self.binary(level))
+                self.depth -= 1
+            else:
+                f = cls(f, self.binary(level + 1))
         return f
 
     def unary(self) -> Formula:
         self.enter()
-        f = self.prefixed()
+        heads = _STARTS.get(self.peek().text)
+        f = self.primary() if heads is None else self.node(heads)
         self.depth -= 1
         return f
 
-    def prefixed(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "LBRACK":
-            self.advance()
-            sender = self.agent()
-            self.expect("GT", "'>'")
-            receiver = self.agent()
-            self.expect("RBRACK", "']'")
-            return Share(sender, receiver, self.unary())
-        if tok.kind == "IDENT":
-            word = tok.text
-            if word == "K":
-                return self.k_formula()
-            if word == "Rk":
-                return self.rk_formula()
-            if word == "D":
+    def node(self, heads: list) -> Formula:
+        # the first head that reads wins; if none does, report the error
+        # of the one that got furthest (the first on a tie)
+        start = self.pos
+        errors = []
+        for cls in heads:
+            program, prefix = _SYNTAX[cls]
+            try:
+                args = self.head(program)
+            except ParseError as err:
+                errors.append(err)
+                self.pos = start
+                continue
+            if prefix:
+                args["body"] = self.unary()
+            return cls(**args)
+        raise max(errors, key=lambda err: (err.line, err.col))
+
+    def head(self, program: tuple) -> dict:
+        """Read a head; return its agent fields by name."""
+        args = {}
+        steps = iter(program)
+        for kind, text, role in steps:
+            if role is _AGENT:
+                args[text] = self.agent()
+            elif role is _AGENTS:
+                args[text] = self.agent_list()
+            elif self.peek().kind == kind:
                 self.advance()
-                return D(self.group(), self.unary())
-            if word == "E":
-                self.advance()
-                return Everybody(self.group(), self.unary())
-            if word == "Ri":
-                self.advance()
-                return ResolveInfo(self.group(), self.unary())
-            if word == "P":
-                self.advance()
-                return Permitted(self.braced_agent(), self.unary())
-            if word == "Ob":
-                self.advance()
-                return Obliged(self.braced_agent(), self.unary())
-        return self.primary()
+            elif role is _OPTIONAL:
+                next(steps)  # the field keeps its default
+            else:
+                self.expect(kind, "'%s'" % text)  # raises
+        return args
 
     def primary(self) -> Formula:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "LPAREN":
-            self.advance()
-            f = self.formula()
+            f = self.binary(0)
             self.expect("RPAREN", "')'")
             return f
         if tok.kind == "IDENT":
-            word = tok.text
-            if word == "true":
-                self.advance()
-                return Top()
-            if word == "false":
-                self.advance()
-                return Bot()
-            if word == "O":
-                self.advance()
-                return IdealAtom()
-            if word == "Ok":
-                self.advance()
-                return OkAtom(self.braced_agent())
-            if word == "Perm":
-                self.advance()
-                self.expect("LPAREN", "'('")
-                sender = self.agent()
-                self.expect("GT", "'>'")
-                receiver = self.agent()
-                self.expect("RPAREN", "')'")
-                return PermittedShare(sender, receiver)
-            if word in _KEYWORDS:
-                raise ParseError("operator %r is missing its arguments" % word,
-                                 tok.line, tok.col)
-            self.advance()
-            if word[0].islower():
-                return Atom(word)
-            return MetaFormula(word)
+            if tok.text[0].islower():
+                return Atom(tok.text)
+            return MetaFormula(tok.text)
         found = tok.text if tok.kind != "EOF" else "end of input"
         raise ParseError("expected a formula, found %r" % found,
                          tok.line, tok.col)
-
-    def k_formula(self) -> Formula:
-        self.advance()
-        self.expect("LBRACE", "'{'")
-        knower = self.agent()
-        deps: tuple = ()
-        if self.peek().kind == "BAR":
-            self.advance()
-            deps = self.agent_list()
-        self.expect("RBRACE", "'}'")
-        return K(knower, self.unary(), deps)
-
-    def rk_formula(self) -> Formula:
-        self.advance()
-        self.expect("LBRACE", "'{'")
-        first = self.agent()
-        if self.peek().kind == "SEMI":
-            self.advance()
-            group = self.agent_list()
-            self.expect("RBRACE", "'}'")
-            return LeaderResolution(first, group, self.unary())
-        names = [first]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            names.append(self.agent())
-        self.expect("RBRACE", "'}'")
-        return Resolution(tuple(names), self.unary())
-
-    def group(self) -> tuple:
-        self.expect("LBRACE", "'{'")
-        names = self.agent_list()
-        self.expect("RBRACE", "'}'")
-        return names
-
-    def braced_agent(self) -> str:
-        self.expect("LBRACE", "'{'")
-        name = self.agent()
-        self.expect("RBRACE", "'}'")
-        return name
 
     def agent_list(self) -> tuple:
         names = [self.agent()]
@@ -628,7 +596,7 @@ class _Parser:
 
     def agent(self) -> str:
         tok = self.expect("IDENT", "an agent name")
-        if tok.text in _KEYWORDS or tok.text in _RESERVED:
+        if tok.text in _KEYWORDS:
             raise ParseError("%r cannot be used as an agent name" % tok.text,
                              tok.line, tok.col)
         return tok.text
@@ -642,8 +610,6 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # printer
 
-_IFF, _IMP, _OR, _AND, _UNARY, _ATOMIC = 1, 2, 3, 4, 5, 6
-
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parentheses; `parse` round-trips the result."""
@@ -651,59 +617,37 @@ def print_formula(f: Formula) -> str:
 
 
 def _show(f: Formula, outer: int) -> str:
-    if isinstance(f, Atom):
-        s, prec = f.name, _ATOMIC
-    elif isinstance(f, Top):
-        s, prec = "true", _ATOMIC
-    elif isinstance(f, Bot):
-        s, prec = "false", _ATOMIC
-    elif isinstance(f, IdealAtom):
-        s, prec = "O", _ATOMIC
-    elif isinstance(f, OkAtom):
-        s, prec = "Ok{%s}" % f.agent, _ATOMIC
-    elif isinstance(f, MetaFormula):
-        s, prec = f.name, _ATOMIC
-    elif isinstance(f, PermittedShare):
-        s, prec = "Perm(%s>%s)" % (f.sender, f.receiver), _ATOMIC
-    elif isinstance(f, Not):
-        s, prec = "~" + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, K):
-        head = "K{%s}" % f.agent if not f.deps \
-            else "K{%s|%s}" % (f.agent, ",".join(f.deps))
-        s, prec = head + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, D):
-        s, prec = "D{%s}" % ",".join(f.group) + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, Everybody):
-        s, prec = "E{%s}" % ",".join(f.group) + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, ResolveInfo):
-        s, prec = "Ri{%s}" % ",".join(f.group) + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, Resolution):
-        s, prec = "Rk{%s}" % ",".join(f.group) + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, LeaderResolution):
-        head = "Rk{%s;%s}" % (f.leader, ",".join(f.group))
-        s, prec = head + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, Share):
-        head = "[%s>%s]" % (f.sender, f.receiver)
-        s, prec = head + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, Permitted):
-        s, prec = "P{%s}" % f.agent + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, Obliged):
-        s, prec = "Ob{%s}" % f.agent + _show(f.body, _UNARY), _UNARY
-    elif isinstance(f, And):
-        s = "%s & %s" % (_show(f.left, _AND), _show(f.right, _AND + 1))
-        prec = _AND
-    elif isinstance(f, Or):
-        s = "%s | %s" % (_show(f.left, _OR), _show(f.right, _OR + 1))
-        prec = _OR
-    elif isinstance(f, Imp):
-        s = "%s -> %s" % (_show(f.left, _IMP + 1), _show(f.right, _IMP))
-        prec = _IMP
-    elif isinstance(f, Iff):
-        s = "%s <-> %s" % (_show(f.left, _IFF), _show(f.right, _IFF + 1))
-        prec = _IFF
+    cls = type(f)
+    level = _LEVEL.get(cls)
+    if level is not None:
+        token, _, right = _BINARY[level - 1]
+        inner = (level + 1, level) if right else (level, level + 1)
+        s = "%s %s %s" % (_show(f.left, inner[0]), token,
+                          _show(f.right, inner[1]))
+    elif cls is Atom or cls is MetaFormula:
+        return f.name
+    elif cls in _SYNTAX:
+        program, prefix = _SYNTAX[cls]
+        parts = []
+        for kind, text, role in program:
+            if role is _AGENT:
+                parts.append(getattr(f, text))
+            elif role is _AGENTS:
+                names = getattr(f, text)
+                if names:
+                    parts.append(",".join(names))
+                else:
+                    parts.pop()  # an empty tuple drops its separator
+            else:
+                parts.append(text)
+        s = "".join(parts)
+        if not prefix:
+            return s
+        s += _show(f.body, _PREFIX)
+        level = _PREFIX
     else:
         raise FormulaError("cannot print %r" % (f,))
-    if prec < outer:
+    if level < outer:
         return "(" + s + ")"
     return s
 

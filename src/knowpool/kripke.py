@@ -193,6 +193,38 @@ def pointed(m: Model, state=None) -> PointedModel:
 # definability blocks and the dependence closure
 
 
+def _rank(keys: dict) -> dict:
+    """Colour each state by the rank of its key among the sorted keys."""
+    classes = {}
+    for s, key in keys.items():
+        classes.setdefault(key, []).append(s)
+    return {s: i for i, key in enumerate(sorted(classes))
+            for s in classes[key]}
+
+
+def _refine(m: Model, color: dict, ideal: bool = False) -> dict:
+    """Split colour classes by the colours each agent's cell meets (and,
+    if `ideal`, the colours of the ideal partners) until none splits."""
+    agents = sorted(m.agents)
+    while True:
+        sigs = {s: [color[s]] for s in m.states}
+        for a in agents:
+            for cell in m.rel[a]:
+                met = tuple(sorted({color[u] for u in cell}))
+                for s in cell:
+                    sigs[s].append(met)
+        if ideal:
+            for s in m.states:
+                sigs[s].append(tuple(sorted({color[u]
+                                             for u in m.ideal_partners(s)})))
+        # a signature starts with the colour, so classes only split, and
+        # an unchanged colouring is stable
+        new = _rank({s: tuple(sig) for s, sig in sigs.items()})
+        if new == color:
+            return color
+        color = new
+
+
 def atoms_partition(m: Model) -> Partition:
     """Coarsest partition stable under the valuation and every relation.
 
@@ -201,27 +233,8 @@ def atoms_partition(m: Model) -> Partition:
     """
     if m._blocks is not None:
         return m._blocks
-    block_id = {}
-    groups = {}
-    for s in m.states:
-        groups.setdefault(m.val[s], []).append(s)
-    for i, (_, members) in enumerate(sorted(groups.items(),
-                                            key=lambda kv: sorted(kv[0]))):
-        for s in members:
-            block_id[s] = i
-    while True:
-        sigs = {}
-        for s in m.states:
-            sig = (block_id[s],
-                   tuple(tuple(sorted({block_id[u] for u in m.cell(a, s)}))
-                         for a in m.agents))
-            sigs.setdefault(sig, []).append(s)
-        if len(sigs) == len(set(block_id.values())):
-            break
-        for i, (_, members) in enumerate(sorted(sigs.items(),
-                                                key=lambda kv: kv[0])):
-            for s in members:
-                block_id[s] = i
+    block_id = _refine(m, _rank({s: tuple(sorted(m.val[s]))
+                                 for s in m.states}))
     blocks = {}
     for s in m.states:
         blocks.setdefault(block_id[s], set()).add(s)
@@ -398,26 +411,8 @@ def save(m: Model) -> bytes:
 # canonical fingerprints
 
 
-def _refine_colors(m: Model, color: dict) -> dict:
-    while True:
-        sigs = {}
-        for s in m.states:
-            sig = (color[s],
-                   tuple(tuple(sorted({color[u] for u in m.cell(a, s)}))
-                         for a in sorted(m.agents)),
-                   tuple(sorted({color[u] for u in m.ideal_partners(s)})))
-            sigs.setdefault(sig, []).append(s)
-        if len(sigs) == len(set(color.values())):
-            return color
-        color = {}
-        for i, (_, members) in enumerate(sorted(sigs.items(),
-                                                key=lambda kv: kv[0])):
-            for s in members:
-                color[s] = i
-
-
 def _canonical_bytes(m: Model, point: str, color: dict) -> bytes:
-    color = _refine_colors(m, color)
+    color = _refine(m, color, ideal=True)
     classes = {}
     for s in m.states:
         classes.setdefault(color[s], []).append(s)
@@ -466,14 +461,7 @@ def fingerprint(pm: PointedModel) -> bytes:
     planner no longer calls it, since it deduplicates on exact models.
     """
     m = pm.model
-    base = {}
-    groups = {}
-    for s in m.states:
-        groups.setdefault((s == pm.point, tuple(sorted(m.val[s]))),
-                          []).append(s)
-    for i, (_, members) in enumerate(sorted(groups.items(),
-                                            key=lambda kv: kv[0])):
-        for s in members:
-            base[s] = i
+    base = _rank({s: (s == pm.point, tuple(sorted(m.val[s])))
+                  for s in m.states})
     # the stored default point is presentation metadata, not structure
     return _canonical_bytes(m, pm.point, base)

@@ -94,31 +94,12 @@ def _compute(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
     if isinstance(f, Iff):
         left, right = _ext(m, f.left, ctx), _ext(m, f.right, ctx)
         return states - (left ^ right)
-    if isinstance(f, K):
-        _need_agent(m, f.agent)
-        for d in f.deps:
-            _need_agent(m, d)
+    if isinstance(f, (K, D)):
+        agents = (f.agent,) + f.deps if isinstance(f, K) else f.group
+        for a in agents:
+            _need_agent(m, a)
         body = _ext(m, f.body, ctx)
-        out = set()
-        for w in m.states:
-            reach = m.cell(f.agent, w)
-            for d in f.deps:
-                reach = reach & dep_closure(m, d, w)
-            if reach <= body:
-                out.add(w)
-        return frozenset(out)
-    if isinstance(f, D):
-        for g in f.group:
-            _need_agent(m, g)
-        body = _ext(m, f.body, ctx)
-        out = set()
-        for w in m.states:
-            reach = m.cell(f.group[0], w)
-            for g in f.group[1:]:
-                reach = reach & m.cell(g, w)
-            if reach <= body:
-                out.add(w)
-        return frozenset(out)
+        return frozenset(w for w in m.states if _reach(m, f, w) <= body)
     if isinstance(f, Share):
         _need_agent(m, f.sender)
         _need_agent(m, f.receiver)
@@ -143,6 +124,20 @@ def _compute(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
     if isinstance(f, MetaFormula):
         raise EvalError("schema variable %r cannot be evaluated" % f.name)
     raise EvalError("cannot evaluate %r" % (f,))
+
+
+def _reach(m: Model, f: K | D, w: str) -> frozenset:
+    """The states the box of `f` ranges over at w: the agent's cell met
+    with each dependency's closure, or the meet of the group's cells."""
+    if isinstance(f, K):
+        reach = m.cell(f.agent, w)
+        for d in f.deps:
+            reach = reach & dep_closure(m, d, w)
+        return reach
+    reach = m.cell(f.group[0], w)
+    for a in f.group[1:]:
+        reach = reach & m.cell(a, w)
+    return reach
 
 
 def _need_agent(m: Model, a: str) -> None:
@@ -178,18 +173,8 @@ def check(pm: PointedModel, f: Formula, ctx: EvalContext | None = None) -> Check
     witness = None
     if not value:
         if isinstance(g, (K, D)):
-            if isinstance(g, K):
-                reach = m.cell(g.agent, pm.point)
-                for d in g.deps:
-                    reach = reach & dep_closure(m, d, pm.point)
-            else:
-                reach = m.cell(g.group[0], pm.point)
-                for a in g.group[1:]:
-                    reach = reach & m.cell(a, pm.point)
             body = _ext(m, g.body, ctx)
-            for u in sorted(reach - body, key=m._index.get):
-                witness = u
-                break
+            witness = min(_reach(m, g, pm.point) - body, key=m._index.get)
         elif isinstance(g, Share):
             updated = ctx.updated(m, pm.point, g.sender, g.receiver)
             inner = check(PointedModel(updated, pm.point), g.body, ctx)

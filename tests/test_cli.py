@@ -73,6 +73,15 @@ class TestCheck:
             err = capsys.readouterr().err
             assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("head, size", [("E", 600), ("Rk", 400)])
+    def test_deep_expansion_is_an_error(self, files, capsys, head, size):
+        # shallow as written, but a chain of `size` nodes once expanded
+        text = "%s{%s}p" % (head, ",".join("a%d" % i for i in range(size)))
+        assert main(["check", "--model", files["plain"],
+                     "--formula", text]) == 2
+        assert capsys.readouterr().err == \
+            "error: formula too deep to evaluate\n"
+
 
 class TestValidate:
     def test_plain(self, files, capsys):
