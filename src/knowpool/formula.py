@@ -11,7 +11,10 @@ are not operator keywords act as schema variables: placeholder formulas in
 formula position, placeholder agents in agent position.  `expand` rewrites
 the defined operators (E, Rk, P, Ob, Perm) into the kernel language.
 The passes over the tree read the role of each node field from one table
-(`_ROLES`), mostly through `rebuild`.
+(`_ROLES`), mostly through `rebuild`; the node constructors check every
+agent slot that table names, and the evaluator looks up the same slots.
+`instantiate` fills agent placeholders with pairwise distinct agents,
+except the placeholders it is told are free.
 """
 
 from __future__ import annotations
@@ -38,34 +41,39 @@ class ParseError(FormulaError):
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _META_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*\Z")
+# names are ASCII, so any other character is an error with a position
+_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 # operator keywords, which no atom, agent or schema variable may be named,
 # are read off the syntax table below (`_KEYWORDS`)
 
 
-def _valid_agent(name: object) -> bool:
-    if not isinstance(name, str) or name in _KEYWORDS:
-        return False
-    return bool(_NAME_RE.match(name) or _META_RE.match(name))
-
-
 def _check_agent(name: object) -> None:
-    if not _valid_agent(name):
+    if not isinstance(name, str) or name in _KEYWORDS \
+            or not (_NAME_RE.match(name) or _META_RE.match(name)):
         raise FormulaError("bad agent name %r" % (name,))
-
-
-def _check_group(group: tuple) -> None:
-    if not group:
-        raise FormulaError("agent group must be non-empty")
-    for a in group:
-        _check_agent(a)
-    if len(set(group)) != len(group):
-        raise FormulaError("duplicate agent in group %r" % (group,))
 
 
 class Formula:
     """Base class for formula nodes.  Instances are immutable and hashable."""
 
     __slots__ = ()
+
+    def __post_init__(self):
+        # every agent slot the role table names, in field order; an agent
+        # tuple may be empty only if its field has a default (K's deps)
+        for name, role, optional in _agent_fields(type(self)):
+            value = getattr(self, name)
+            if role is _AGENT:
+                _check_agent(value)
+                continue
+            value = tuple(value)
+            object.__setattr__(self, name, value)
+            if not value and not optional:
+                raise FormulaError("agent group must be non-empty")
+            for a in value:
+                _check_agent(a)
+            if len(set(value)) != len(value):
+                raise FormulaError(_DUPLICATE[name] % (value,))
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -101,9 +109,6 @@ class OkAtom(Formula):
     """Holds where the agent's cell meets the ideal partners of the state."""
 
     agent: str
-
-    def __post_init__(self):
-        _check_agent(self.agent)
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,7 @@ class K(Formula):
     deps: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "deps", tuple(self.deps))
-        _check_agent(self.agent)
-        for d in self.deps:
-            _check_agent(d)
-        if len(set(self.deps)) != len(self.deps):
-            raise FormulaError("duplicate dependency in %r" % (self.deps,))
+        super().__post_init__()
         if self.agent in self.deps:
             raise FormulaError("agent %r cannot be its own dependency" % self.agent)
 
@@ -177,10 +177,6 @@ class D(Formula):
     group: tuple
     body: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "group", tuple(self.group))
-        _check_group(self.group)
-
 
 @dataclass(frozen=True)
 class Share(Formula):
@@ -190,10 +186,6 @@ class Share(Formula):
     receiver: str
     body: Formula
 
-    def __post_init__(self):
-        _check_agent(self.sender)
-        _check_agent(self.receiver)
-
 
 @dataclass(frozen=True)
 class ResolveInfo(Formula):
@@ -201,10 +193,6 @@ class ResolveInfo(Formula):
 
     group: tuple
     body: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "group", tuple(self.group))
-        _check_group(self.group)
 
 
 @dataclass(frozen=True)
@@ -214,10 +202,6 @@ class Everybody(Formula):
     group: tuple
     body: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "group", tuple(self.group))
-        _check_group(self.group)
-
 
 @dataclass(frozen=True)
 class Resolution(Formula):
@@ -225,10 +209,6 @@ class Resolution(Formula):
 
     group: tuple
     body: Formula
-
-    def __post_init__(self):
-        object.__setattr__(self, "group", tuple(self.group))
-        _check_group(self.group)
 
 
 @dataclass(frozen=True)
@@ -240,9 +220,7 @@ class LeaderResolution(Formula):
     body: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "group", tuple(self.group))
-        _check_agent(self.leader)
-        _check_group(self.group)
+        super().__post_init__()
         if self.group[0] != self.leader:
             raise FormulaError("leader %r must head the group %r"
                                % (self.leader, self.group))
@@ -255,9 +233,6 @@ class Permitted(Formula):
     agent: str
     body: Formula
 
-    def __post_init__(self):
-        _check_agent(self.agent)
-
 
 @dataclass(frozen=True)
 class Obliged(Formula):
@@ -266,9 +241,6 @@ class Obliged(Formula):
     agent: str
     body: Formula
 
-    def __post_init__(self):
-        _check_agent(self.agent)
-
 
 @dataclass(frozen=True)
 class PermittedShare(Formula):
@@ -276,10 +248,6 @@ class PermittedShare(Formula):
 
     sender: str
     receiver: str
-
-    def __post_init__(self):
-        _check_agent(self.sender)
-        _check_agent(self.receiver)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +262,10 @@ _ROLES = {
     "name": _PAYLOAD,
 }
 
+# what a repeated name in each agent tuple field is reported as
+_DUPLICATE = {"group": "duplicate agent in group %r",
+              "deps": "duplicate dependency in %r"}
+
 
 @functools.cache
 def _layout(cls: type) -> tuple:
@@ -305,6 +277,15 @@ def _layout(cls: type) -> tuple:
                                % (cls.__name__, fld.name))
         out.append((fld.name, _ROLES[fld.name]))
     return tuple(out)
+
+
+@functools.cache
+def _agent_fields(cls: type) -> tuple:
+    """(field name, role, whether it has a default) of each agent and agent
+    tuple field of a node class, in field order."""
+    defaults = {f.name for f in fields(cls) if f.default is not MISSING}
+    return tuple((name, role, name in defaults) for name, role in _layout(cls)
+                 if role is _AGENT or role is _AGENTS)
 
 
 def rebuild(f: Formula, sub: Callable[[Formula], Formula],
@@ -398,13 +379,11 @@ def _tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
+        ident = _IDENT_RE.match(text, i)
+        if ident:
+            toks.append(_Token("IDENT", ident.group(), line, col))
+            col += ident.end() - i
+            i = ident.end()
             continue
         raise ParseError("unexpected character %r" % ch, line, col)
     toks.append(_Token("EOF", "", line, col))
@@ -440,7 +419,7 @@ def _program(cls: type, head: str) -> tuple:
     """The head as (token kind, text, field role) steps.  An agent field's
     text is its field name; a literal token has no role."""
     roles = dict(_layout(cls))
-    defaults = {f.name for f in fields(cls) if f.default is not MISSING}
+    defaults = {name for name, _, default in _agent_fields(cls) if default}
     toks = _tokenize(head)
     steps = []
     for tok, after in zip(toks, toks[1:]):  # the last token is EOF
@@ -751,22 +730,27 @@ class Schema:
     template: Formula
 
 
-def instantiate(schema: Schema, formulas: Iterable,
-                agents: Iterable) -> Iterator[Formula]:
+def instantiate(schema: Schema, formulas: Iterable, agents: Iterable,
+                free: Iterable = ()) -> Iterator[Formula]:
     """Yield concrete instances of a schema, deduplicated, in a fixed order.
 
-    Agent placeholders range injectively over `agents`; formula placeholders
-    range independently over `formulas`.
+    Agent placeholders range over `agents`, pairwise distinct except those
+    named in `free`, which range unrestricted; formula placeholders range
+    independently over `formulas`.
     """
     fvars = sorted(meta_formulas_of(schema.template))
     avars = sorted(meta_agents_of(schema.template))
+    free = set(free)
+    distinct = [i for i, a in enumerate(avars) if a not in free]
     pool = list(dict.fromkeys(agents))
     phis = list(formulas)
-    if len(pool) < len(avars):
+    if len(pool) < len(distinct):
         raise FormulaError("schema %r needs %d distinct agents, got %d"
-                           % (schema.name, len(avars), len(pool)))
+                           % (schema.name, len(distinct), len(pool)))
     seen = set()
-    for combo in itertools.permutations(pool, len(avars)):
+    for combo in itertools.product(pool, repeat=len(avars)):
+        if len({combo[i] for i in distinct}) < len(distinct):
+            continue
         amap = dict(zip(avars, combo))
         for fs in itertools.product(phis, repeat=len(fvars)):
             inst = substitute(schema.template, dict(zip(fvars, fs)), amap)

@@ -278,7 +278,16 @@ _REQUIRED_KEYS = ("states", "agents", "atoms", "relations", "valuation")
 _ALLOWED_KEYS = _REQUIRED_KEYS + ("ideal", "point")
 
 
+def _check_pair(p, label) -> None:
+    if not (isinstance(p, (list, tuple)) and len(p) == 2
+            and all(isinstance(s, str) for s in p)):
+        raise ModelError("%s: pairs must be 2-element lists of state ids"
+                         % label)
+
+
 def _closure_cells(states, pairs, label, strict):
+    if not isinstance(pairs, list):
+        raise ModelError("%s must be a list of pairs" % label)
     parent = {s: s for s in states}
 
     def find(x):
@@ -289,8 +298,7 @@ def _closure_cells(states, pairs, label, strict):
 
     listed = set()
     for p in pairs:
-        if not (isinstance(p, (list, tuple)) and len(p) == 2):
-            raise ModelError("%s: pairs must be 2-element lists" % label)
+        _check_pair(p, label)
         u, v = p
         for s in (u, v):
             if s not in parent:
@@ -339,9 +347,12 @@ def load(text, strict: bool = False) -> Model:
     for key in _REQUIRED_KEYS:
         if key not in data:
             raise ModelError("missing key %r" % key)
+    for key in ("states", "agents", "atoms"):
+        if not isinstance(data[key], list):
+            raise ModelError("%s must be a list" % key)
     states = data["states"]
-    if not isinstance(states, list):
-        raise ModelError("states must be a list")
+    if not all(isinstance(s, str) for s in states):
+        raise ModelError("state ids must be strings")
     relations = data["relations"]
     if not isinstance(relations, dict):
         raise ModelError("relations must be an object")
@@ -354,6 +365,8 @@ def load(text, strict: bool = False) -> Model:
     if not isinstance(valuation, dict):
         raise ModelError("valuation must be an object")
     for s, atoms in valuation.items():
+        if s not in states:
+            raise ModelError("valuation for unknown state %r" % s)
         if not isinstance(atoms, list):
             raise ModelError("valuation[%s] must be a list of atoms" % s)
     ideal = None
@@ -363,8 +376,7 @@ def load(text, strict: bool = False) -> Model:
             raise ModelError("ideal must be a non-empty list of pairs")
         ideal = []
         for p in raw:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2):
-                raise ModelError("ideal: pairs must be 2-element lists")
+            _check_pair(p, "ideal")
             ideal.append(frozenset(p))
     try:
         return Model(states, data["agents"], data["atoms"], rel, valuation,

@@ -29,7 +29,9 @@ from dataclasses import dataclass, replace
 from .formula import (And, Atom, Formula, IdealAtom, Iff, Imp, K, Not,
                       OkAtom, Or, PermittedShare, Schema, Share, expand,
                       instantiate, meta_agents_of, meta_formulas_of, parse,
-                      rebuild, substitute)
+                      rebuild)
+# unused here; bench/layers.py traces `lab.substitute` by name
+from .formula import substitute  # noqa: F401
 from .kripke import Model, atoms_partition, dep_closure
 from .presets import PRESETS
 from .semantics import EvalContext, extension, global_truth
@@ -157,23 +159,22 @@ def _deontic_variants(m: Model):
 @dataclass(frozen=True)
 class SchemaSpec:
     name: str
-    kind: str                     # "axiom" | "rule" | "custom"
     expect: str                   # "valid" | "invalid" | "report" | "rule"
     template: str | None = None   # a rule's is "(premise) -> (conclusion)"
     guard: str | None = None      # None | "boolean" | "atom"
     deontic: bool = False
-    relax: str | None = None      # None | "receiver"
+    free: tuple = ()              # agent placeholders that may repeat
     checker: str | None = None    # key into the custom checker table
 
 
 def _axiom(name, template, expect="valid", guard=None, deontic=False,
-           relax=None):
-    return SchemaSpec(name, "axiom", expect, template=template, guard=guard,
-                      deontic=deontic, relax=relax)
+           free=()):
+    return SchemaSpec(name, expect, template=template, guard=guard,
+                      deontic=deontic, free=free)
 
 
 def _rule(name, premise, conclusion, deontic=False):
-    return SchemaSpec(name, "rule", "rule",
+    return SchemaSpec(name, "rule",
                       template="(%s) -> (%s)" % (premise, conclusion),
                       deontic=deontic)
 
@@ -195,7 +196,7 @@ _SPECS = (
     _axiom("int", "K{A}PHI -> K{A|B}PHI"),
     _axiom("chain_dep", "K{B}PHI -> K{B|A}PHI"),
     _axiom("chain_dist", "K{B|A}PHI -> D{A,B}PHI"),
-    SchemaSpec("cl", "custom", "valid", checker="cl"),
+    SchemaSpec("cl", "valid", checker="cl"),
     # the share box is a functional update
     _axiom("inv", "(PHI -> [A>B]PHI) & (~PHI -> [A>B]~PHI)", guard="atom"),
     _axiom("rev", "~[A>B]PHI -> [A>B]~PHI"),
@@ -204,7 +205,7 @@ _SPECS = (
     _axiom("c_share", "[A>B]PHI & [A>B]PSI -> [A>B](PHI & PSI)"),
     _axiom("rep", "[A>B]PHI <-> [A>B][A>B]PHI", expect="report"),
     # interaction of sharing with knowledge
-    SchemaSpec("int_plus", "custom", "valid", checker="int_plus"),
+    SchemaSpec("int_plus", "valid", checker="int_plus"),
     _axiom("int_lower", "K{B}[A>B]PHI -> [A>B]K{B}PHI"),
     _axiom("int_minus", "[A>B]K{C}PHI <-> K{C}[A>B]PHI"),
     _axiom("dist", "[A>B]K{B}PHI -> D{A,B}[A>B]PHI"),
@@ -224,7 +225,7 @@ _SPECS = (
     _axiom("pool_round_to_resolve", "Rk{A,B}E{A,B}PHI -> Ri{A,B}E{A,B}PHI",
            guard="boolean"),
     # static permission
-    SchemaSpec("o_poss", "custom", "valid", deontic=True, checker="o_poss"),
+    SchemaSpec("o_poss", "valid", deontic=True, checker="o_poss"),
     _axiom("p_rfc", "P{A}PHI & P{A}PSI -> P{A}(PHI | PSI)", deontic=True),
     _axiom("p_mc", "P{A}(PHI & PSI) <-> P{A}PHI & P{A}PSI", deontic=True),
     _axiom("p_k", "P{A}(PHI -> PSI) -> (P{A}PHI -> P{A}PSI)", deontic=True),
@@ -239,11 +240,11 @@ _SPECS = (
            deontic=True),
     # dynamic permission
     _axiom("perm_transfer", "[A>B]Perm(B>C) -> Perm(A>C)", deontic=True),
-    SchemaSpec("perm_sender_swap", "custom", "valid", deontic=True,
+    SchemaSpec("perm_sender_swap", "valid", deontic=True,
                checker="perm_sender_swap"),
     _axiom("perm_receiver_swap",
            "(K{B}PHI <-> K{C}PHI) -> (Perm(A>B) <-> Perm(A>C))",
-           expect="invalid", deontic=True, relax="receiver"),
+           expect="invalid", deontic=True, free=("A",)),
     # inference rules, per-model form
     _rule("ns", "PHI", "[A>B]PHI"),
     _rule("nec_a", "PHI", "K{A|B}PHI"),
@@ -312,24 +313,6 @@ def _pool_for(spec: SchemaSpec, m: Model, nvars: int):
 
 
 # ---------------------------------------------------------------------------
-# instantiation helpers
-
-
-def _relaxed_instances(template: Formula, pool, agents):
-    # receiver relaxation: B and C distinct, A unrestricted
-    fvars = sorted(meta_formulas_of(template))
-    seen = set()
-    for x in agents:
-        for y, z in itertools.permutations(agents, 2):
-            amap = {"A": x, "B": y, "C": z}
-            for fs in itertools.product(pool, repeat=len(fvars)):
-                inst = substitute(template, dict(zip(fvars, fs)), amap)
-                if inst not in seen:
-                    seen.add(inst)
-                    yield inst
-
-
-# ---------------------------------------------------------------------------
 # checking
 
 
@@ -375,7 +358,7 @@ class Lab:
         the schema needs are skipped and not counted.
         """
         spec = SCHEMAS[name]
-        if spec.kind == "custom":
+        if spec.checker is not None:
             cases, need = _CHECKERS[spec.checker]
         else:
             cases, need = self._template_cases(spec)
@@ -395,7 +378,7 @@ class Lab:
             if found:
                 break
         note = None
-        if found and spec.kind == "rule":
+        if found and spec.expect == "rule":
             note = "rule-form failure (per-model)"
         verdict = "countermodel" if found else "valid-on-sample"
         return LabReport(spec.name, spec.expect, models, instances,
@@ -407,20 +390,16 @@ class Lab:
         # conclusion alone is then checked.
         template = parse(spec.template)
         nvars = len(meta_formulas_of(template))
-        need = 2 if spec.relax == "receiver" else len(meta_agents_of(template))
+        need = len(meta_agents_of(template) - set(spec.free))
 
         def cases(m, ctx):
             key = (spec.name, m.agents, m.atoms)
             if key not in self._instances:
                 pool = _pool_for(spec, m, nvars)
-                if spec.relax == "receiver":
-                    insts = _relaxed_instances(template, pool, m.agents)
-                else:
-                    insts = instantiate(Schema(spec.name, template), pool,
-                                        m.agents)
-                self._instances[key] = list(insts)
+                self._instances[key] = list(instantiate(
+                    Schema(spec.name, template), pool, m.agents, spec.free))
             for inst in self._instances[key]:
-                if spec.kind == "rule":
+                if spec.expect == "rule":
                     if not global_truth(m, inst.left, ctx):
                         continue
                     inst = inst.right

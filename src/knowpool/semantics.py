@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import (And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp, K,
-                      MetaFormula, Not, OkAtom, Or, ResolveInfo, Share, Top,
-                      expand)
+from .formula import (_AGENT, And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp,
+                      K, MetaFormula, Not, OkAtom, Or, ResolveInfo, Share, Top,
+                      _agent_fields, expand)
 from .kripke import Model, PointedModel, dep_closure, save
 from .update import resolve_update, share_update
 
@@ -74,6 +74,11 @@ def _ext(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
 
 
 def _compute(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
+    for name, role, _ in _agent_fields(type(f)):
+        names = getattr(f, name)
+        for a in (names,) if role is _AGENT else names:
+            if a not in m.rel:
+                raise EvalError("unknown agent %r" % (a,))
     states = frozenset(m.states)
     if isinstance(f, Atom):
         if f.name not in m.atoms:
@@ -95,14 +100,9 @@ def _compute(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
         left, right = _ext(m, f.left, ctx), _ext(m, f.right, ctx)
         return states - (left ^ right)
     if isinstance(f, (K, D)):
-        agents = (f.agent,) + f.deps if isinstance(f, K) else f.group
-        for a in agents:
-            _need_agent(m, a)
         body = _ext(m, f.body, ctx)
         return frozenset(w for w in m.states if _reach(m, f, w) <= body)
     if isinstance(f, Share):
-        _need_agent(m, f.sender)
-        _need_agent(m, f.receiver)
         out = set()
         for w in m.states:
             updated = ctx.updated(m, w, f.sender, f.receiver)
@@ -110,15 +110,12 @@ def _compute(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
                 out.add(w)
         return frozenset(out)
     if isinstance(f, ResolveInfo):
-        for g in f.group:
-            _need_agent(m, g)
         return _ext(ctx.resolved(m, f.group), f.body, ctx)
     if isinstance(f, IdealAtom):
         _need_ideal(m, "O")
         return frozenset(s for s in m.states if m.ideal_partners(s))
     if isinstance(f, OkAtom):
         _need_ideal(m, "Ok{%s}" % f.agent)
-        _need_agent(m, f.agent)
         return frozenset(s for s in m.states
                          if m.cell(f.agent, s) & m.ideal_partners(s))
     if isinstance(f, MetaFormula):
@@ -138,11 +135,6 @@ def _reach(m: Model, f: K | D, w: str) -> frozenset:
     for a in f.group[1:]:
         reach = reach & m.cell(a, w)
     return reach
-
-
-def _need_agent(m: Model, a: str) -> None:
-    if a not in m.rel:
-        raise EvalError("unknown agent %r" % (a,))
 
 
 def _need_ideal(m: Model, what: str) -> None:

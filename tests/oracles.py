@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from knowpool.formula import OkAtom
+from knowpool.formula import OkAtom, meta_formulas_of, substitute
 from knowpool.kripke import PointedModel, fingerprint
 from knowpool.norms import Plan
 from knowpool.semantics import EvalContext, extension
@@ -147,3 +147,22 @@ def fingerprint_plan(pm, goal, max_len=None, require_permissible=True):
             seen.add(fp)
             queue.append((nxt, steps + ((sender, receiver),)))
     return None
+
+
+def relaxed_instances(template, pool, agents):
+    """Instances of a template over the placeholders A, B and C, with B and
+    C distinct and A unrestricted, deduplicated in enumeration order.
+
+    This is the lab's former separate enumeration for `perm_receiver_swap`,
+    the reference for `instantiate(..., free=("A",))`.
+    """
+    fvars = sorted(meta_formulas_of(template))
+    seen = set()
+    for x in agents:
+        for y, z in itertools.permutations(agents, 2):
+            amap = {"A": x, "B": y, "C": z}
+            for fs in itertools.product(pool, repeat=len(fvars)):
+                inst = substitute(template, dict(zip(fvars, fs)), amap)
+                if inst not in seen:
+                    seen.add(inst)
+                    yield inst

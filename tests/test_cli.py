@@ -101,6 +101,18 @@ class TestValidate:
         bad.write_text(json.dumps(data))
         assert main(["validate", "--model", str(bad)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("agents", 5), ("agents", "abc"), ("atoms", "pqr"),
+        ("ideal", [[["s0"], "s0"]]), ("relations", {"a": [["s0", ["s1"]]]}),
+    ])
+    def test_bad_shapes_exit_2(self, files, capsys, key, value):
+        bad = files["dir"] / "bad.json"
+        data = json.loads(save(service_desk_deontic()))
+        data[key] = value
+        bad.write_text(json.dumps(data))
+        assert main(["validate", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestUpdate:
     def test_writes_the_updated_model(self, files, capsys):

@@ -164,6 +164,12 @@ PARSE_ERRORS = (
     ("p |\n\n  K{a", "expected '}', found 'end of input'", 3, 6),
     ("O p", "expected end of input, found 'p'", 1, 3),
     ("p & -> q", "expected a formula, found '->'", 1, 5),
+    # names are ASCII identifiers
+    ("K{é}p", "unexpected character 'é'", 1, 3),
+    ("é", "unexpected character 'é'", 1, 1),
+    ("p²", "unexpected character '²'", 1, 2),
+    ("x١", "unexpected character '١'", 1, 2),
+    ("[a>bß]p", "unexpected character 'ß'", 1, 5),
 )
 
 
@@ -324,6 +330,61 @@ class TestRebuild:
             parse("Rk{b;b,a}D{b,a}K{b|a}[a>b]Perm(b>a) & Ok{a}")
 
 
+# every (node class, field) that holds an agent or an agent tuple
+_AGENT_SLOTS = [(cls, name, role)
+                for cls in Formula.__subclasses__()
+                if cls.__module__ == formula.__name__
+                for name, role in formula._layout(cls)
+                if role in ("agent", "agents")]
+# a valid value for each agent field, so that one slot at a time goes bad
+_GOOD = {"agent": "a", "sender": "a", "receiver": "b", "leader": "a",
+         "group": ("a", "b"), "deps": ("b", "c")}
+
+
+def _build(cls, **changed):
+    args = {name: Atom("p") if role == "subformula" else _GOOD[name]
+            for name, role in formula._layout(cls)}
+    args.update(changed)
+    return cls(**args)
+
+
+def _slot_id(slot):
+    return "%s.%s" % (slot[0].__name__, slot[1])
+
+
+class TestAgentSlots:
+    def test_every_agent_slot_is_listed(self):
+        assert len(_AGENT_SLOTS) == 15
+
+    @pytest.mark.parametrize("bad", ["1x", "K", "", 5, None])
+    @pytest.mark.parametrize("slot", _AGENT_SLOTS, ids=_slot_id)
+    def test_bad_name_in_every_slot(self, slot, bad):
+        cls, name, role = slot
+        value = bad if role == "agent" else _GOOD[name][:-1] + (bad,)
+        with pytest.raises(FormulaError) as err:
+            _build(cls, **{name: value})
+        assert str(err.value) == "bad agent name %r" % (bad,)
+
+    @pytest.mark.parametrize("slot", [s for s in _AGENT_SLOTS
+                                      if s[2] == "agents"], ids=_slot_id)
+    def test_agent_tuples(self, slot):
+        cls, name, _ = slot
+        f = _build(cls, **{name: list(_GOOD[name])})
+        assert type(getattr(f, name)) is tuple
+        assert f == _build(cls)
+        dup = _GOOD[name][:1] * 2
+        what = "dependency in" if name == "deps" else "agent in group"
+        with pytest.raises(FormulaError) as err:
+            _build(cls, **{name: dup})
+        assert str(err.value) == "duplicate %s %r" % (what, dup)
+        if name == "deps":
+            assert _build(cls, deps=[]).deps == ()
+        else:
+            with pytest.raises(FormulaError) as err:
+                _build(cls, **{name: []})
+            assert str(err.value) == "agent group must be non-empty"
+
+
 class TestSchema:
     def test_substitute(self):
         f = parse("K{A}PHI -> PHI")
@@ -404,6 +465,23 @@ def test_print_parse_round_trip(f):
 def test_expand_idempotent(f):
     once = expand(f)
     assert expand(once) == once
+
+
+# fragments of the concrete syntax, a few non-ASCII letters and digits
+_SYNTAX_BITS = st.sampled_from(
+    ["p", "q", "a", "b", "A", "PHI", "K", "D", "E", "Ri", "Rk", "P", "Ob",
+     "Perm", "Ok", "O", "true", "{", "}", "[", "]", "(", ")", ",", ";", "|",
+     ">", "&", "~", "->", "<->", "-", "<", " ", "\n", "é", "²", "١", "_1"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=30),
+                 st.lists(_SYNTAX_BITS, max_size=20).map("".join)))
+def test_parse_returns_or_raises_a_formula_error(text):
+    try:
+        parse(text)
+    except FormulaError:
+        pass
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -102,6 +102,15 @@ class TestSerialization:
             lambda d: d.update(ideal=[["s0"]]),
             lambda d: d.update(point="zz"),
             lambda d: d["relations"].update(a=[["s0", "zz"]]),
+            lambda d: d.update(agents=5),
+            lambda d: d.update(agents="abc"),
+            lambda d: d.update(atoms="pqr"),
+            lambda d: d.update(states="s0"),
+            lambda d: d["states"].append(["s9"]),
+            lambda d: d.update(ideal=[[["s0"], "s0"]]),
+            lambda d: d["relations"].update(a=[["s0", ["s1"]]]),
+            lambda d: d["relations"].update(a=5),
+            lambda d: d["valuation"].update(zz=[]),
         ):
             data = json.loads(save(service_desk()))
             mutate(data)
@@ -220,9 +229,13 @@ class TestFingerprint:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(0, 10 ** 6), st.randoms(use_true_random=False))
-def test_fingerprint_permutation_invariant(index, rng):
-    m = gen_model(GenConfig(), index)
+@given(st.integers(0, 10 ** 6),
+       # one-atom deontic models tie on valuations, so only the ideal
+       # relation can separate their states
+       st.sampled_from([GenConfig(), GenConfig(deontic=True, atoms=1)]),
+       st.randoms(use_true_random=False))
+def test_fingerprint_permutation_invariant(index, cfg, rng):
+    m = gen_model(cfg, index)
     names = list(m.states)
     shuffled = list(names)
     rng.shuffle(shuffled)

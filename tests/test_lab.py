@@ -2,15 +2,19 @@
 
 import pytest
 
-from knowpool.formula import OkAtom, _walk, expand, parse, print_formula
+from knowpool.formula import (OkAtom, Schema, _walk, expand, instantiate,
+                              meta_formulas_of, parse, print_formula)
 from knowpool.kripke import Model, PointedModel
 from knowpool.lab import (DEFAULT_CONFIG, GOLDEN_FACTS, REQUIRED_INVALID,
                           REQUIRED_VALID, REPORT_ONLY, RULES, SCHEMAS,
                           GenConfig, check_fact, check_schema,
                           compare_readings, enumerate_models, gen_model,
-                          run_reference_suite, _possibility_reading)
-from knowpool.presets import PRESETS
+                          run_reference_suite, _pool_for,
+                          _possibility_reading)
+from knowpool.presets import PRESETS, service_desk_deontic
 from knowpool.semantics import extension
+
+from oracles import relaxed_instances
 
 CFG = GenConfig(samples=12)
 
@@ -105,6 +109,19 @@ def test_report_is_pinned(name):
         _, instance, state = rep.countermodel
         shown = (print_formula(instance), state)
     assert (rep.models, rep.instances, rep.verdict, shown) == PINNED[name]
+
+
+@pytest.mark.parametrize("model", [
+    next(enumerate_models(1, 2, 2, deontic=True)), service_desk_deontic()],
+    ids=["two-agents", "three-agents"])
+def test_free_placeholder_matches_the_relaxed_enumeration(model):
+    spec = SCHEMAS["perm_receiver_swap"]
+    template = parse(spec.template)
+    pool = _pool_for(spec, model, len(meta_formulas_of(template)))
+    want = list(relaxed_instances(template, pool, model.agents))
+    got = instantiate(Schema(spec.name, template), pool, model.agents,
+                      free=("A",))
+    assert list(got) == want
 
 
 class TestGenerators:

@@ -88,6 +88,23 @@ class TestExtension:
         with pytest.raises(EvalError):
             extension(m, MetaFormula("PHI"))
 
+    @pytest.mark.parametrize("text", [
+        "K{zz}p", "K{a|zz}p", "K{a|b,zz}p", "D{zz}p", "D{a,zz}p",
+        "[zz>a]p", "[a>zz]p", "Ri{a,zz}p", "Ok{zz}", "E{a,zz}p",
+        "Rk{a,zz}p", "Rk{a;a,zz}p", "Rk{zz;zz,a}p", "P{zz}p", "Ob{zz}p",
+        "Perm(zz>a)", "Perm(a>zz)",
+    ])
+    def test_unknown_agent_in_every_slot(self, text):
+        with pytest.raises(EvalError) as err:
+            extension(service_desk_deontic(), parse(text))
+        assert str(err.value) == "unknown agent 'zz'"
+
+    def test_agents_are_looked_up_before_the_ideal_relation(self):
+        with pytest.raises(EvalError, match="unknown agent 'zz'"):
+            extension(service_desk(), parse("Ok{zz}"))
+        with pytest.raises(EvalError, match="needs a model with an ideal"):
+            extension(service_desk(), parse("Ok{a}"))
+
 
 class TestCheck:
     def test_bool_protocol_and_state(self):
