@@ -15,6 +15,12 @@ The passes over the tree read the role of each node field from one table
 agent slot that table names, and the evaluator looks up the same slots.
 `instantiate` fills agent placeholders with pairwise distinct agents,
 except the placeholders it is told are free.
+
+Nodes are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): the constructor looks the node up in a weak table
+of live nodes first, so equal formulas are one object, equality and
+hashing go by identity, and a formula is a DAG whose shared subformulas
+(the body of an expanded `E`) are stored and walked once.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import weakref
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -53,10 +60,77 @@ def _check_agent(name: object) -> None:
         raise FormulaError("bad agent name %r" % (name,))
 
 
-class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+# Every live node, keyed by (class, field values): a weak-value table, so a
+# node lives only while something else holds it.  Children are interned
+# before their parent, so a key's fields compare and hash by identity.
+_TABLE = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+class _Interned(type):
+    """Hash-consing constructor: building a node equal to a live one
+    returns that node, without validating it again."""
+
+    def __call__(cls, *args, **kwargs):
+        names, defaults, tuples = _signature(cls)
+        values = args
+        if kwargs or len(args) != len(names):
+            values = _bind(names, defaults, args, kwargs)
+            if values is None:  # the generated __init__ says what is wrong
+                return super().__call__(*args, **kwargs)
+        if tuples:
+            values = list(values)
+            for i in tuples:
+                values[i] = tuple(values[i])
+        key = (cls, *values)
+        try:
+            ref = _TABLE.get(key)
+        except TypeError:  # an unhashable field; validation names most
+            super().__call__(*values)
+            raise FormulaError("unhashable field in %s%r"
+                               % (cls.__name__, tuple(values))) from None
+        node = None if ref is None else ref()
+        if node is None:
+            node = super().__call__(*values)
+            _TABLE[key] = weakref.KeyedRef(node, _forget, key)
+        return node
+
+
+def _bind(names: tuple, defaults: dict, args: tuple, kwargs: dict):
+    """Field values in field order, or None if the call does not fit."""
+    if len(args) > len(names):
+        return None
+    values = list(args)
+    rest = names[len(args):]
+    for name in rest:
+        if name in kwargs:
+            values.append(kwargs[name])
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
+            return None
+    if any(name not in rest for name in kwargs):
+        return None
+    return values
+
+
+class Formula(metaclass=_Interned):
+    """Base class for formula nodes.  Nodes are immutable and interned:
+    equal nodes are the same object, so equality and hashing go by
+    identity.  Each node caches its kernel expansion (`expand`)."""
 
     __slots__ = ()
+    # the kernel expansion once computed; _KERNEL on a kernel node
+    _kernel = None
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the interning constructor
+        return type(self), tuple(getattr(self, name)
+                                 for name in _signature(type(self))[0])
 
     def __post_init__(self):
         # every agent slot the role table names, in field order; an agent
@@ -66,8 +140,6 @@ class Formula:
             if role is _AGENT:
                 _check_agent(value)
                 continue
-            value = tuple(value)
-            object.__setattr__(self, name, value)
             if not value and not optional:
                 raise FormulaError("agent group must be non-empty")
             for a in value:
@@ -79,7 +151,11 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+# node classes: frozen dataclasses whose equality and hash are identity
+_node = dataclass(frozen=True, eq=False)
+
+
+@_node
 class Atom(Formula):
     name: str
 
@@ -89,29 +165,29 @@ class Atom(Formula):
             raise FormulaError("bad atom name %r" % (self.name,))
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class IdealAtom(Formula):
     """Holds at states that belong to some ideal pair."""
 
 
-@dataclass(frozen=True)
+@_node
 class OkAtom(Formula):
     """Holds where the agent's cell meets the ideal partners of the state."""
 
     agent: str
 
 
-@dataclass(frozen=True)
+@_node
 class MetaFormula(Formula):
     """Schema variable standing for an arbitrary formula."""
 
@@ -123,36 +199,36 @@ class MetaFormula(Formula):
             raise FormulaError("bad schema variable %r" % (self.name,))
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class K(Formula):
     """Knowledge of `agent`, relative to the information of `deps`.
 
@@ -170,7 +246,7 @@ class K(Formula):
             raise FormulaError("agent %r cannot be its own dependency" % self.agent)
 
 
-@dataclass(frozen=True)
+@_node
 class D(Formula):
     """Distributed knowledge of a group."""
 
@@ -178,7 +254,7 @@ class D(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Share(Formula):
     """Body holds after the sender shares with the receiver."""
 
@@ -187,7 +263,7 @@ class Share(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ResolveInfo(Formula):
     """Body holds after the group pools raw information (cell intersection)."""
 
@@ -195,7 +271,7 @@ class ResolveInfo(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Everybody(Formula):
     """Defined: conjunction of individual knowledge over the group."""
 
@@ -203,7 +279,7 @@ class Everybody(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Resolution(Formula):
     """Defined: round-trip share chain through the group, in listed order."""
 
@@ -211,7 +287,7 @@ class Resolution(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class LeaderResolution(Formula):
     """Defined: one-way share chain from the leader through the group."""
 
@@ -226,7 +302,7 @@ class LeaderResolution(Formula):
                                % (self.leader, self.group))
 
 
-@dataclass(frozen=True)
+@_node
 class Permitted(Formula):
     """Defined: the agent knows the body and is in an allowed position."""
 
@@ -234,7 +310,7 @@ class Permitted(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Obliged(Formula):
     """Defined: not permitted to have the body false."""
 
@@ -242,7 +318,7 @@ class Obliged(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class PermittedShare(Formula):
     """Defined: after sender shares with receiver, the receiver is allowed."""
 
@@ -280,6 +356,17 @@ def _layout(cls: type) -> tuple:
 
 
 @functools.cache
+def _signature(cls: type) -> tuple:
+    """(field names, default by field name, positions of the agent tuple
+    fields) of a node class."""
+    layout = _layout(cls)
+    defaults = {f.name: f.default for f in fields(cls)
+                if f.default is not MISSING}
+    tuples = tuple(i for i, (_, role) in enumerate(layout) if role is _AGENTS)
+    return tuple(name for name, _ in layout), defaults, tuples
+
+
+@functools.cache
 def _agent_fields(cls: type) -> tuple:
     """(field name, role, whether it has a default) of each agent and agent
     tuple field of a node class, in field order."""
@@ -297,7 +384,7 @@ def rebuild(f: Formula, sub: Callable[[Formula], Formula],
     for name, role in _layout(type(f)):
         old = new = getattr(f, name)
         if role is _SUB:
-            # by identity: comparing rewritten subtrees costs their depth
+            # nodes are interned, so identity is equality
             new = sub(old)
             changed = changed or new is not old
         elif agent is not None and role is not _PAYLOAD:
@@ -313,11 +400,17 @@ def _children(f: Formula) -> list:
 
 
 def _walk(f: Formula) -> Iterator[Formula]:
+    """Each distinct node under `f` once: shared subformulas (as in an
+    expanded `E`) are not walked again."""
+    seen = {f}
     stack = [f]
     while stack:
         g = stack.pop()
         yield g
-        stack.extend(_children(g))
+        for c in _children(g):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
 
 
 def _nests_deeper(f: Formula, levels: int) -> bool:
@@ -648,8 +741,28 @@ def _round_trip_pairs(group: tuple) -> list:
     return fwd + back
 
 
+# the expansion cached on a kernel node: the node itself, but a reference
+# to itself would keep it out of reach of reference counting
+_KERNEL = object()
+
+
 def expand(f: Formula) -> Formula:
-    """Rewrite defined operators into the kernel language.  Idempotent."""
+    """Rewrite defined operators into the kernel language.  Idempotent.
+
+    The result is cached on the node, so each distinct node is expanded
+    once while it lives."""
+    g = f._kernel
+    if g is _KERNEL:
+        return f
+    if g is None:
+        g = _expand(f)
+        object.__setattr__(f, "_kernel", _KERNEL if g is f else g)
+        if g._kernel is None:
+            object.__setattr__(g, "_kernel", _KERNEL)
+    return g
+
+
+def _expand(f: Formula) -> Formula:
     if isinstance(f, Everybody):
         body = expand(f.body)
         g = K(f.group[0], body)

@@ -73,9 +73,10 @@ class Model:
         self._dep = {}
         self._hash = None
         if validate:
-            self._validate()
+            self._validate(val)
 
-    def _validate(self) -> None:
+    def _validate(self, val: Mapping) -> None:
+        # `val` is the valuation as given: self.val keeps only known states
         if not self.states:
             raise ModelError("model needs at least one state")
         if len(set(self.states)) != len(self.states):
@@ -102,9 +103,10 @@ class Model:
                 seen |= c
             if seen != universe:
                 raise ModelError("cells for agent %r do not cover all states" % a)
-        for s, atoms in self.val.items():
+        for s in val:
             if s not in self._index:
-                raise ModelError("valuation for unknown state %r" % s)
+                raise ModelError("valuation for unknown state %r" % (s,))
+        for atoms in self.val.values():
             extra = atoms - frozenset(self.atoms)
             if extra:
                 raise ModelError("valuation uses unknown atoms %r" % sorted(extra))

@@ -605,7 +605,10 @@ class ReferenceReport:
 
 
 def check_fact(fact: GoldenFact, ctx: EvalContext | None = None) -> FactResult:
-    m = PRESETS[fact.model]()
+    return _check_fact(fact, PRESETS[fact.model](), ctx)
+
+
+def _check_fact(fact: GoldenFact, m: Model, ctx: EvalContext | None):
     got = m.point in extension(m, parse(fact.formula), ctx)
     return FactResult(fact, got)
 
@@ -623,13 +626,16 @@ def _possibility_reading(f: Formula) -> Formula:
 
 def compare_readings(ctx: EvalContext | None = None):
     """Evaluate the permission facts under both Ok readings."""
+    return _compare_readings(PRESETS["service_desk_deontic"](), ctx)
+
+
+def _compare_readings(m: Model, ctx: EvalContext | None):
     if ctx is None:
         ctx = EvalContext()
     out = []
     for fact in GOLDEN_FACTS:
         if fact.model != "service_desk_deontic":
             continue
-        m = PRESETS[fact.model]()
         f = parse(fact.formula)
         got = m.point in extension(m, f, ctx)
         alt = m.point in extension(m, _possibility_reading(f), ctx)
@@ -639,9 +645,18 @@ def compare_readings(ctx: EvalContext | None = None):
 
 def run_reference_suite(cfg: GenConfig = DEFAULT_CONFIG,
                         include_schemas: bool = True) -> ReferenceReport:
-    """Evaluate every golden fact, both Ok readings, and the schema library."""
+    """Evaluate every golden fact, both Ok readings, and the schema library.
+
+    Each preset is built once per call and every fact and reading on it is
+    evaluated on that one object through one `EvalContext`, so memo lookups
+    match the model by identity.  Those models, the context and the
+    formula nodes of the facts die with the call, so the next call starts
+    cold.
+    """
     ctx = EvalContext()
-    facts = tuple(check_fact(fact, ctx) for fact in GOLDEN_FACTS)
-    readings = compare_readings(ctx)
+    models = {name: build() for name, build in PRESETS.items()}
+    facts = tuple(_check_fact(fact, models[fact.model], ctx)
+                  for fact in GOLDEN_FACTS)
+    readings = _compare_readings(models["service_desk_deontic"], ctx)
     schemas = tuple(run_all(cfg)) if include_schemas else ()
     return ReferenceReport(facts, readings, schemas)

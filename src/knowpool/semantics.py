@@ -4,7 +4,11 @@
 resolution operators evaluate the body in the updated model; the update for
 a share is anchored at the current evaluation state, so a boxed formula may
 build a different model per state.  An `EvalContext` memoizes extensions per
-model and reuses updated models across states that trigger the same update.
+(model, kernel node) and reuses updated models across states that trigger
+the same update.  Formula nodes are interned and cache their own expansion
+(see `formula`), so a memo key hashes in constant time and a formula seen
+before is not expanded again; the same model object should be passed for
+the memo to hit without comparing models field by field.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class EvalContext:
 
 
 def extension(m: Model, f: Formula, ctx: EvalContext | None = None) -> frozenset:
-    """All states of `m` where `f` holds.  Macros are expanded up front."""
+    """All states of `m` where `f` holds.  Macros are expanded up front,
+    once per node (`expand` caches the kernel on the node)."""
     if ctx is None:
         ctx = EvalContext()
     return _ext(m, expand(f), ctx)

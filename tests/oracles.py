@@ -12,11 +12,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from knowpool.formula import OkAtom, meta_formulas_of, substitute
-from knowpool.kripke import PointedModel, fingerprint
+from knowpool.formula import (And, Atom, Bot, D, Everybody, IdealAtom, Iff,
+                              Imp, K, LeaderResolution, Not, Obliged, OkAtom,
+                              Or, Permitted, PermittedShare, Resolution,
+                              ResolveInfo, Share, Top, meta_formulas_of,
+                              substitute)
+from knowpool.kripke import PointedModel, dep_closure, fingerprint
 from knowpool.norms import Plan
-from knowpool.semantics import EvalContext, extension
-from knowpool.update import share_update
+from knowpool.semantics import EvalContext, EvalError, extension
+from knowpool.update import resolve_update, share_update
 
 
 def naive_blocks(m):
@@ -166,3 +170,114 @@ def relaxed_instances(template, pool, agents):
                 if inst not in seen:
                     seen.add(inst)
                     yield inst
+
+
+def reference_extension(m, f):
+    """The states of `m` where `f` holds, by plain recursion on the formula.
+
+    This is the evaluator as it stood before formula nodes were interned:
+    no memo, no evaluation context, no shared nodes, and every defined
+    operator evaluated by its definition instead of through `expand`, so
+    it reads node fields only and never relies on node identity.  A share
+    updates the model separately at every state.
+    """
+    states = frozenset(m.states)
+
+    def holds(g):
+        return reference_extension(m, g)
+
+    def boxed(reach_of, body):
+        inside = holds(body)
+        return frozenset(w for w in m.states if reach_of(w) <= inside)
+
+    for a in _agents_in_slots(f):
+        if a not in m.rel:
+            raise EvalError("unknown agent %r" % (a,))
+    if isinstance(f, Atom):
+        if f.name not in m.atoms:
+            raise EvalError("unknown atom %r" % f.name)
+        return frozenset(s for s in m.states if f.name in m.val[s])
+    if isinstance(f, Top):
+        return states
+    if isinstance(f, Bot):
+        return frozenset()
+    if isinstance(f, Not):
+        return states - holds(f.body)
+    if isinstance(f, And):
+        return holds(f.left) & holds(f.right)
+    if isinstance(f, Or):
+        return holds(f.left) | holds(f.right)
+    if isinstance(f, Imp):
+        return (states - holds(f.left)) | holds(f.right)
+    if isinstance(f, Iff):
+        return states - (holds(f.left) ^ holds(f.right))
+    if isinstance(f, K):
+        def reach(w):
+            out = m.cell(f.agent, w)
+            for d in f.deps:
+                out = out & dep_closure(m, d, w)
+            return out
+        return boxed(reach, f.body)
+    if isinstance(f, D):
+        return boxed(lambda w: frozenset.intersection(
+            *(m.cell(a, w) for a in f.group)), f.body)
+    if isinstance(f, Share):
+        return _reference_chain(m, ((f.sender, f.receiver),), f.body)
+    if isinstance(f, ResolveInfo):
+        return reference_extension(resolve_update(m, f.group), f.body)
+    if isinstance(f, IdealAtom):
+        _need_ideal(m)
+        return frozenset(s for s in m.states if m.ideal_partners(s))
+    if isinstance(f, OkAtom):
+        _need_ideal(m)
+        return frozenset(s for s in m.states
+                         if m.cell(f.agent, s) & m.ideal_partners(s))
+    # the defined operators
+    if isinstance(f, Everybody):
+        return frozenset.intersection(
+            *(boxed(lambda w, a=a: m.cell(a, w), f.body) for a in f.group))
+    if isinstance(f, Resolution):
+        g = f.group
+        forward = [(g[i], g[i + 1]) for i in range(len(g) - 1)]
+        back = [(r, s) for s, r in reversed(forward)]
+        return _reference_chain(m, tuple(forward + back), f.body)
+    if isinstance(f, LeaderResolution):
+        g = f.group
+        return _reference_chain(
+            m, tuple((g[i], g[i + 1]) for i in range(len(g) - 1)), f.body)
+    if isinstance(f, Permitted):
+        return boxed(lambda w: m.cell(f.agent, w), f.body) \
+            & holds(OkAtom(f.agent))
+    if isinstance(f, Obliged):
+        return states - (boxed(lambda w: m.cell(f.agent, w), Not(f.body))
+                         & holds(OkAtom(f.agent)))
+    if isinstance(f, PermittedShare):
+        return _reference_chain(m, ((f.sender, f.receiver),),
+                                OkAtom(f.receiver))
+    raise EvalError("cannot evaluate %r" % (f,))
+
+
+def _reference_chain(m, pairs, body):
+    """[s1>r1][s2>r2]...body, each share anchored at the evaluation state."""
+    if not pairs:
+        return reference_extension(m, body)
+    (sender, receiver), rest = pairs[0], pairs[1:]
+    return frozenset(
+        w for w in m.states
+        if w in _reference_chain(share_update(m, w, sender, receiver),
+                                 rest, body))
+
+
+def _agents_in_slots(f):
+    names = []
+    for slot in ("agent", "sender", "receiver", "leader"):
+        if hasattr(f, slot):
+            names.append(getattr(f, slot))
+    for slot in ("group", "deps"):
+        names.extend(getattr(f, slot, ()))
+    return names
+
+
+def _need_ideal(m):
+    if m.ideal is None:
+        raise EvalError("the deontic atoms need an ideal relation")

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from knowpool.cli import main
-from knowpool.kripke import load, save
+from knowpool.kripke import Model, load, save
 from knowpool.presets import overlap, service_desk, service_desk_deontic
 from knowpool.update import apply_sequence
 from knowpool.kripke import pointed
@@ -23,6 +23,18 @@ def files(tmp_path):
         paths[name] = str(p)
     paths["dir"] = tmp_path
     return paths
+
+
+def _chain(head: str, size: int) -> str:
+    return "%s{%s}p" % (head, ",".join("a%d" % i for i in range(size)))
+
+
+def _one_state_model(directory, agents: int) -> str:
+    path = directory / "wide.json"
+    names = ["a%d" % i for i in range(agents)]
+    path.write_bytes(save(Model(("s0",), names, ("p",), {}, {"s0": {"p"}},
+                                point="s0")))
+    return str(path)
 
 
 class TestCheck:
@@ -73,14 +85,25 @@ class TestCheck:
             err = capsys.readouterr().err
             assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("head, size", [("E", 600), ("Rk", 400)])
-    def test_deep_expansion_is_an_error(self, files, capsys, head, size):
-        # shallow as written, but a chain of `size` nodes once expanded
-        text = "%s{%s}p" % (head, ",".join("a%d" % i for i in range(size)))
-        assert main(["check", "--model", files["plain"],
-                     "--formula", text]) == 2
+    @pytest.mark.parametrize("head, size, model", [
+        ("E", 600, "plain"), ("Rk", 400, "wide")], ids=["E-600", "Rk-400"])
+    def test_deep_expansion_is_an_error(self, files, capsys, head, size,
+                                        model):
+        # shallow as written, but a chain of `size` nodes once expanded;
+        # the wide model declares every agent the formula names
+        if model == "wide":
+            files[model] = _one_state_model(files["dir"], size)
+        assert main(["check", "--model", files[model],
+                     "--formula", _chain(head, size)]) == 2
         assert capsys.readouterr().err == \
             "error: formula too deep to evaluate\n"
+
+    def test_long_share_chain_reaches_the_evaluator(self, files, capsys):
+        # building and hashing the expanded chain does not recurse, so the
+        # evaluator looks up the first share's agents before going deep
+        assert main(["check", "--model", files["plain"],
+                     "--formula", _chain("Rk", 400)]) == 2
+        assert capsys.readouterr().err == "error: unknown agent 'a0'\n"
 
 
 class TestValidate:

@@ -1,6 +1,9 @@
 """Parser, printer, expansion, and schema instantiation."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -385,6 +388,86 @@ class TestAgentSlots:
             assert str(err.value) == "agent group must be non-empty"
 
 
+# every operator, agent tuples with and without deps, shared subformulas
+_EVERY_OPERATOR = ("Rk{a;a,b}D{a,b}K{a|b,c}[b>a]Perm(a>b) & Ok{b} | O"
+                   " -> E{a,b}P{a}Ob{b}(p <-> ~q) & Ri{a,c}Rk{a,b}(true"
+                   " | false) & K{A}PHI & K{a}p & K{a}p")
+
+
+class TestInterning:
+    def test_equal_nodes_are_one_object(self):
+        assert parse("K{a|b}(p & q)") is \
+            K("a", And(Atom("p"), Atom("q")), ["b"])
+        assert K("a", Atom("p")) is K(agent="a", body=Atom("p"), deps=())
+        assert D(["a", "b"], Top()) is D(("a", "b"), body=Top())
+        assert parse("p & p").left is parse("p & p").right
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, dataclasses.replace,
+        lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "replace", "pickle"])
+    def test_copies_are_the_interned_node(self, clone):
+        f = parse(_EVERY_OPERATOR)
+        for g in formula._walk(f):
+            assert clone(g) is g
+        assert clone(expand(f)) is expand(f)
+
+    def test_replace_with_changes_interns_the_result(self):
+        f = K("a", Atom("p"), ("b",))
+        assert dataclasses.replace(f, agent="c") is K("c", Atom("p"), ("b",))
+        with pytest.raises(FormulaError) as err:
+            dataclasses.replace(f, agent="b")
+        assert str(err.value) == "agent 'b' cannot be its own dependency"
+
+    def test_expansion_is_cached_on_the_node(self):
+        f = parse("E{a,b,c}Rk{a,b}P{c}p")
+        g = expand(f)
+        assert expand(f) is g and expand(g) is g
+        assert expand(parse(print_formula(f))) is g
+
+    @pytest.mark.parametrize("text, message", [
+        (text, message) for text, message, line, _ in PARSE_ERRORS
+        if line is None])
+    def test_node_errors_raise_while_equal_valid_nodes_live(self, text,
+                                                            message):
+        # valid nodes of every class with these agents stay in the table
+        alive = parse("Rk{a;a,b}p & Rk{a,b}p & D{a,b}p & K{a|b}p"
+                      " & K{a|b,c}p & K{a}p")
+        for _ in range(2):
+            with pytest.raises(FormulaError) as err:
+                parse(text)
+            assert type(err.value) is FormulaError
+            assert str(err.value) == message
+        assert parse(print_formula(alive)) is alive
+
+    @pytest.mark.parametrize("slot", _AGENT_SLOTS, ids=_slot_id)
+    def test_bad_slots_raise_while_a_valid_node_lives(self, slot):
+        cls, name, role = slot
+        valid = _build(cls)
+        assert _build(cls) is valid
+        for bad in ("1x", "K", 5):
+            value = bad if role == "agent" else _GOOD[name][:-1] + (bad,)
+            for _ in range(2):
+                with pytest.raises(FormulaError) as err:
+                    _build(cls, **{name: value})
+                assert str(err.value) == "bad agent name %r" % (bad,)
+
+    def test_unhashable_fields_raise_a_formula_error(self):
+        with pytest.raises(FormulaError) as err:
+            K(["a"], Atom("p"))
+        assert str(err.value) == "bad agent name ['a']"
+        with pytest.raises(FormulaError):
+            Not([Atom("p")])
+
+    def test_a_call_that_does_not_fit_raises_type_error(self):
+        with pytest.raises(TypeError):
+            K("a")
+        with pytest.raises(TypeError):
+            K("a", Atom("p"), agent="b")
+        with pytest.raises(TypeError):
+            Not(Atom("p"), weight=1)
+
+
 class TestSchema:
     def test_substitute(self):
         f = parse("K{A}PHI -> PHI")
@@ -457,7 +540,7 @@ def _formulas():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_formulas())
 def test_print_parse_round_trip(f):
-    assert parse(print_formula(f)) == f
+    assert parse(print_formula(f)) is f
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -39,6 +39,14 @@ class TestValidation:
         with pytest.raises(ModelError):
             tiny(point="nowhere")
 
+    def test_rejects_valuation_of_unknown_state(self):
+        with pytest.raises(ModelError) as err:
+            Model(("u",), ("a",), ("p",), {}, {"zz": {"p"}})
+        assert str(err.value) == "valuation for unknown state 'zz'"
+        unchecked = Model(("u",), ("a",), ("p",), {}, {"zz": {"p"}},
+                          validate=False)
+        assert unchecked.val == {"u": frozenset()}
+
     def test_rejects_bad_ideal(self):
         with pytest.raises(ModelError):
             tiny(ideal=())

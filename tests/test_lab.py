@@ -1,7 +1,10 @@
 """Schema library, model generators, and the reference fact suite."""
 
+import gc
+
 import pytest
 
+from knowpool import formula
 from knowpool.formula import (OkAtom, Schema, _walk, expand, instantiate,
                               meta_formulas_of, parse, print_formula)
 from knowpool.kripke import Model, PointedModel
@@ -187,6 +190,16 @@ class TestReferenceSuite:
         assert len(report.facts) == 44 and report.schemas == ()
         assert not report.ok
         assert len(report.readings) == 5
+
+    def test_a_run_leaves_no_formula_node_behind(self):
+        # the intern table is weak and the report holds no node, so once
+        # the run returns none of its nodes is live: the next run starts cold
+        gc.collect()
+        before = len(formula._TABLE)
+        report = run_reference_suite(CFG, include_schemas=False)
+        gc.collect()
+        assert len(formula._TABLE) == before
+        assert len(report.facts) == 44
 
     def test_default_config_shape(self):
         assert DEFAULT_CONFIG.samples == 500

@@ -1,15 +1,22 @@
 """Formula evaluation: extensions, pointed checks, witnesses, caching."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knowpool.formula import MetaFormula, parse
+from knowpool.formula import (And, Atom, Bot, D, Everybody, IdealAtom, Iff,
+                              Imp, K, LeaderResolution, MetaFormula, Not,
+                              Obliged, OkAtom, Or, Permitted, PermittedShare,
+                              Resolution, ResolveInfo, Share, Top, expand,
+                              parse)
 from knowpool.kripke import PointedModel, load, pointed
-from knowpool.lab import GOLDEN_FACTS
+from knowpool.lab import GOLDEN_FACTS, GenConfig, gen_model
 from knowpool.presets import PRESETS, overlap, service_desk, \
     service_desk_deontic
 from knowpool.semantics import (CheckResult, EvalContext, EvalError, check,
                                 extension, global_truth)
 from knowpool.update import share_update
+
+from oracles import reference_extension
 
 
 # table entries whose recorded verdict the evaluator provably contradicts;
@@ -166,3 +173,91 @@ class TestContext:
             f = parse(text)
             assert extension(m, f, shared) == extension(m, f, debug) \
                 == extension(m, f)
+
+
+# random formulas over the agents and atoms of the random deontic models
+# below, using every operator; shares nest two or more deep
+_AGENTS = ("a", "b", "c")
+_agent = st.sampled_from(_AGENTS)
+_pair = st.permutations(_AGENTS).map(lambda p: p[:2])
+_group = st.lists(_agent, min_size=2, max_size=2, unique=True).map(tuple)
+
+
+def _kernel_and_defined():
+    leaves = st.one_of(
+        st.sampled_from(("p", "q", "r")).map(Atom),
+        st.sampled_from((Top(), Bot(), IdealAtom())),
+        _agent.map(OkAtom),
+        _pair.map(lambda p: PermittedShare(*p)),
+    )
+
+    def build(children):
+        two = st.tuples(children, children)
+        return st.one_of(
+            children.map(Not),
+            two.map(lambda t: And(*t)), two.map(lambda t: Or(*t)),
+            two.map(lambda t: Imp(*t)), two.map(lambda t: Iff(*t)),
+            st.tuples(_agent, children).map(lambda t: K(*t)),
+            st.tuples(_pair, children).map(
+                lambda t: K(t[0][0], t[1], t[0][1:])),
+            st.tuples(_group, children).map(lambda t: D(*t)),
+            st.tuples(_group, children).map(lambda t: Everybody(*t)),
+            st.tuples(_group, children).map(lambda t: ResolveInfo(*t)),
+            st.tuples(_group, children).map(lambda t: Resolution(*t)),
+            st.tuples(_group, children).map(
+                lambda t: LeaderResolution(t[0][0], t[0], t[1])),
+            st.tuples(_pair, children).map(
+                lambda t: Share(*t[0], t[1])),
+            st.tuples(_pair, _pair, children).map(
+                lambda t: Share(*t[0], Share(*t[1], t[2]))),
+            st.tuples(_agent, children).map(lambda t: Permitted(*t)),
+            st.tuples(_agent, children).map(lambda t: Obliged(*t)),
+        )
+
+    return st.recursive(leaves, build, max_leaves=6)
+
+
+_DEONTIC = GenConfig(max_states=5, agents=3, atoms=3, deontic=True, seed=7)
+
+
+@pytest.fixture(scope="module")
+def shared_ctx():
+    # one context for every example, so entries from earlier formulas and
+    # from equal models built earlier are hit
+    return EvalContext()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_and_defined(), st.integers(0, 199))
+def test_extension_matches_the_reference_evaluator(shared_ctx, f, index):
+    m = gen_model(_DEONTIC, index)
+    want = reference_extension(m, f)
+    assert extension(m, f) == want
+    assert extension(m, f, shared_ctx) == want
+    assert extension(m, f, shared_ctx) == want
+    assert extension(m, f, EvalContext(debug=True)) == want
+
+
+def _distinct_nodes(f):
+    """Nodes under `f` counted by identity, so that equal subformulas that
+    are not one object count twice."""
+    seen = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            stack.extend(getattr(g, name) for name in ("body", "left", "right")
+                         if hasattr(g, name))
+    return len(seen)
+
+
+@pytest.mark.parametrize("k", [6, 12, 20])
+def test_nested_everybody_is_linear(k):
+    # E{a,b,c} expands to three K's over one body; as a tree that is 3**k
+    # copies of `p`, as interned nodes five new nodes per level
+    f = expand(parse("E{a,b,c}" * k + "p"))
+    assert _distinct_nodes(f) == 5 * k + 1
+    ctx = EvalContext()
+    extension(service_desk(), f, ctx)
+    assert len(ctx._ext) == 5 * k + 1
