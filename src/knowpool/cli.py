@@ -139,9 +139,13 @@ def _print_report(report) -> None:
         print("instance=%s state=%s" % (print_formula(instance), state))
 
 
+def _config(args):
+    return replace(DEFAULT_CONFIG, seed=args.seed, samples=args.samples,
+                   max_states=args.max_states)
+
+
 def cmd_lab(args) -> int:
-    cfg = replace(DEFAULT_CONFIG, seed=args.seed, samples=args.samples,
-                  max_states=args.max_states)
+    cfg = _config(args)
     names = list(SCHEMAS) if args.schema == "all" else [args.schema]
     for name in names:
         if name not in SCHEMAS:
@@ -157,9 +161,8 @@ def cmd_lab(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    cfg = replace(DEFAULT_CONFIG, seed=args.seed, samples=args.samples,
-                  max_states=args.max_states)
-    report = run_reference_suite(cfg, include_schemas=not args.no_schemas)
+    report = run_reference_suite(_config(args),
+                                 include_schemas=not args.no_schemas)
     for r in report.facts:
         print("GOLDEN %s %s expected=%s got=%s verdict=%s" % (
             r.fact.label, r.fact.formula,
@@ -186,6 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="knowpool",
         description="knowledge sharing over finite epistemic models")
     sub = top.add_subparsers(dest="command", required=True)
+    # the random-model options of `lab` and `examples`
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
+    config.add_argument("--samples", type=_count,
+                        default=DEFAULT_CONFIG.samples)
+    config.add_argument("--max-states", type=_states,
+                        default=DEFAULT_CONFIG.max_states)
 
     p = sub.add_parser("check", help="evaluate a formula on a model")
     p.add_argument("--model", required=True)
@@ -210,21 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state")
     p.set_defaults(fn=cmd_plan)
 
-    p = sub.add_parser("lab", help="stress-test schemata on random models")
+    p = sub.add_parser("lab", parents=[config],
+                       help="stress-test schemata on random models")
     p.add_argument("--schema", default="all")
-    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
-    p.add_argument("--samples", type=_count, default=DEFAULT_CONFIG.samples)
-    p.add_argument("--max-states", type=_states,
-                   default=DEFAULT_CONFIG.max_states)
     p.set_defaults(fn=cmd_lab)
 
-    p = sub.add_parser("examples", help="run the bundled reference suite")
+    p = sub.add_parser("examples", parents=[config],
+                       help="run the bundled reference suite")
     p.add_argument("--no-schemas", action="store_true",
                    help="only the fact table and the two readings")
-    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
-    p.add_argument("--samples", type=_count, default=DEFAULT_CONFIG.samples)
-    p.add_argument("--max-states", type=_states,
-                   default=DEFAULT_CONFIG.max_states)
     p.set_defaults(fn=cmd_examples)
 
     p = sub.add_parser("validate", help="check a model file")

@@ -17,10 +17,11 @@ agent slot that table names, and the evaluator looks up the same slots.
 except the placeholders it is told are free.
 
 Nodes are hash-consed (Filliâtre and Conchon, "Type-safe modular
-hash-consing", 2006): the constructor looks the node up in a weak table
-of live nodes first, so equal formulas are one object, equality and
-hashing go by identity, and a formula is a DAG whose shared subformulas
-(the body of an expanded `E`) are stored and walked once.
+hash-consing", 2006): the constructor builds and validates the node, then
+returns the equal node from a weak table of live nodes if there is one,
+so equal formulas are one object, equality and hashing go by identity,
+and a formula is a DAG whose shared subformulas (the body of an expanded
+`E`) are stored and walked once.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ class ParseError(FormulaError):
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _META_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*\Z")
-# names are ASCII, so any other character is an error with a position
-_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 # operator keywords, which no atom, agent or schema variable may be named,
 # are read off the syntax table below (`_KEYWORDS`)
 
@@ -72,50 +71,24 @@ def _forget(ref: weakref.KeyedRef) -> None:
 
 
 class _Interned(type):
-    """Hash-consing constructor: building a node equal to a live one
-    returns that node, without validating it again."""
+    """Hash-consing constructor: the dataclass constructor binds the
+    arguments and validates the node; a node equal to a live one is then
+    dropped for that one."""
 
     def __call__(cls, *args, **kwargs):
-        names, defaults, tuples = _signature(cls)
-        values = args
-        if kwargs or len(args) != len(names):
-            values = _bind(names, defaults, args, kwargs)
-            if values is None:  # the generated __init__ says what is wrong
-                return super().__call__(*args, **kwargs)
-        if tuples:
-            values = list(values)
-            for i in tuples:
-                values[i] = tuple(values[i])
-        key = (cls, *values)
+        node = super().__call__(*args, **kwargs)
+        # a new node holds its fields and nothing else, in field order
+        key = (cls, *vars(node).values())
         try:
             ref = _TABLE.get(key)
         except TypeError:  # an unhashable field; validation names most
-            super().__call__(*values)
             raise FormulaError("unhashable field in %s%r"
-                               % (cls.__name__, tuple(values))) from None
-        node = None if ref is None else ref()
-        if node is None:
-            node = super().__call__(*values)
-            _TABLE[key] = weakref.KeyedRef(node, _forget, key)
+                               % (cls.__name__, key[1:])) from None
+        live = None if ref is None else ref()
+        if live is not None:
+            return live
+        _TABLE[key] = weakref.KeyedRef(node, _forget, key)
         return node
-
-
-def _bind(names: tuple, defaults: dict, args: tuple, kwargs: dict):
-    """Field values in field order, or None if the call does not fit."""
-    if len(args) > len(names):
-        return None
-    values = list(args)
-    rest = names[len(args):]
-    for name in rest:
-        if name in kwargs:
-            values.append(kwargs[name])
-        elif name in defaults:
-            values.append(defaults[name])
-        else:
-            return None
-    if any(name not in rest for name in kwargs):
-        return None
-    return values
 
 
 class Formula(metaclass=_Interned):
@@ -130,16 +103,19 @@ class Formula(metaclass=_Interned):
     def __reduce__(self):
         # copies and unpickled nodes go through the interning constructor
         return type(self), tuple(getattr(self, name)
-                                 for name in _signature(type(self))[0])
+                                 for name, _ in _layout(type(self)))
 
     def __post_init__(self):
         # every agent slot the role table names, in field order; an agent
-        # tuple may be empty only if its field has a default (K's deps)
+        # tuple may be given as any iterable, and may be empty only if its
+        # field has a default (K's deps)
         for name, role, optional in _agent_fields(type(self)):
             value = getattr(self, name)
             if role is _AGENT:
                 _check_agent(value)
                 continue
+            value = tuple(value)
+            object.__setattr__(self, name, value)
             if not value and not optional:
                 raise FormulaError("agent group must be non-empty")
             for a in value:
@@ -356,17 +332,6 @@ def _layout(cls: type) -> tuple:
 
 
 @functools.cache
-def _signature(cls: type) -> tuple:
-    """(field names, default by field name, positions of the agent tuple
-    fields) of a node class."""
-    layout = _layout(cls)
-    defaults = {f.name: f.default for f in fields(cls)
-                if f.default is not MISSING}
-    tuples = tuple(i for i, (_, role) in enumerate(layout) if role is _AGENTS)
-    return tuple(name for name, _ in layout), defaults, tuples
-
-
-@functools.cache
 def _agent_fields(cls: type) -> tuple:
     """(field name, role, whether it has a default) of each agent and agent
     tuple field of a node class, in field order."""
@@ -438,48 +403,30 @@ _PUNCT = {
 }
 
 
+# One alternative per kind of text.  Names are ASCII, and the catch-all
+# comes last, so every other character is read as punctuation or reported
+# with its position: `finditer` would skip text that nothing matches.
+_SCAN_RE = re.compile(r"(?P<NEWLINE>\n)|[ \t\r]+|(?P<DARROW><->)|(?P<ARROW>->)"
+                      r"|(?P<IDENT>[a-zA-Z][a-zA-Z0-9_]*)|(?P<CHAR>.)",
+                      re.DOTALL)
+
+
 def _tokenize(text: str) -> list:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "-":
-            if text.startswith("->", i):
-                toks.append(_Token("ARROW", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("stray '-'", line, col)
-        if ch == "<":
-            if text.startswith("<->", i):
-                toks.append(_Token("DARROW", "<->", line, col))
-                i += 3
-                col += 3
-                continue
-            raise ParseError("stray '<'", line, col)
-        if ch in _PUNCT:
-            toks.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        ident = _IDENT_RE.match(text, i)
-        if ident:
-            toks.append(_Token("IDENT", ident.group(), line, col))
-            col += ident.end() - i
-            i = ident.end()
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    toks.append(_Token("EOF", "", line, col))
+    line, start = 1, 0  # start: offset of the line's first character
+    for m in _SCAN_RE.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "NEWLINE":
+            line, start = line + 1, m.end()
+        elif kind == "CHAR":
+            if tok not in _PUNCT:
+                raise ParseError("stray %r" % tok if tok in "-<"
+                                 else "unexpected character %r" % tok,
+                                 line, col)
+            toks.append(_Token(_PUNCT[tok], tok, line, col))
+        elif kind is not None:  # None: spaces
+            toks.append(_Token(kind, tok, line, col))
+    toks.append(_Token("EOF", "", line, len(text) - start + 1))
     return toks
 
 
@@ -825,6 +772,7 @@ def substitute(f: Formula, formulas: Mapping | None = None,
             raise FormulaError("unbound agent variable %r" % name)
         return name
 
+    @functools.cache  # each distinct node of the DAG is rewritten once
     def go(g: Formula) -> Formula:
         if isinstance(g, MetaFormula):
             if g.name not in fmap:

@@ -366,9 +366,7 @@ def load(text, strict: bool = False) -> Model:
     valuation = data["valuation"]
     if not isinstance(valuation, dict):
         raise ModelError("valuation must be an object")
-    for s, atoms in valuation.items():
-        if s not in states:
-            raise ModelError("valuation for unknown state %r" % s)
+    for s, atoms in valuation.items():  # Model checks the states
         if not isinstance(atoms, list):
             raise ModelError("valuation[%s] must be a list of atoms" % s)
     ideal = None

@@ -22,6 +22,7 @@ operator's second conjunct.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -616,6 +617,7 @@ def _check_fact(fact: GoldenFact, m: Model, ctx: EvalContext | None):
 def _possibility_reading(f: Formula) -> Formula:
     """Replace every Ok atom of the expanded formula by 'does not know there
     is no ideal'."""
+    @functools.cache  # each distinct node of the DAG is rewritten once
     def go(g):
         if isinstance(g, OkAtom):
             return Not(K(g.agent, Not(IdealAtom())))

@@ -173,6 +173,22 @@ PARSE_ERRORS = (
     ("p²", "unexpected character '²'", 1, 2),
     ("x١", "unexpected character '١'", 1, 2),
     ("[a>bß]p", "unexpected character 'ß'", 1, 5),
+    # the scanner skips only space, tab, carriage return and newline; any
+    # other character, even other whitespace, is an error at its position
+    ("p \x0b q", "unexpected character '\\x0b'", 1, 3),
+    ("p \x0c q", "unexpected character '\\x0c'", 1, 3),
+    ("p \xa0 q", "unexpected character '\\xa0'", 1, 3),
+    ("p \u2028 q", "unexpected character '\\u2028'", 1, 3),
+    ("_p", "unexpected character '_'", 1, 1),
+    ("1p", "unexpected character '1'", 1, 1),
+    ("p &\n \x0b q", "unexpected character '\\x0b'", 2, 2),
+    ("p &\n \x0c q", "unexpected character '\\x0c'", 2, 2),
+    ("p &\n \xa0 q", "unexpected character '\\xa0'", 2, 2),
+    ("p &\n \u2028 q", "unexpected character '\\u2028'", 2, 2),
+    ("p &\n _p", "unexpected character '_'", 2, 2),
+    ("p &\n 1p", "unexpected character '1'", 2, 2),
+    ("p &\n - q", "stray '-'", 2, 2),
+    ("p &\n < q", "stray '<'", 2, 2),
 )
 
 
@@ -473,6 +489,18 @@ class TestSchema:
         f = parse("K{A}PHI -> PHI")
         out = substitute(f, {"PHI": Atom("p")}, {"A": "a"})
         assert out == parse("K{a}p -> p")
+
+    def test_substitute_rewrites_each_distinct_node_once(self, monkeypatch):
+        # nested E expands to a DAG of 5k+1 distinct nodes but 3^k paths
+        f = expand(parse("E{A,B,C}" * 8 + "PHI"))
+        real = formula.rebuild
+        seen = []
+        monkeypatch.setattr(formula, "rebuild",
+                            lambda g, *rest: seen.append(g) or real(g, *rest))
+        out = substitute(f, {"PHI": Atom("p")}, {"A": "a", "B": "b", "C": "c"})
+        assert len(seen) == len(set(seen))
+        assert set(seen) <= set(formula._walk(f))
+        assert out is expand(parse("E{a,b,c}" * 8 + "p"))
 
     def test_instantiate_is_deterministic_and_injective(self):
         schema = Schema("int", parse("K{A}PHI -> K{A|B}PHI"))

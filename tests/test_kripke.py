@@ -126,6 +126,13 @@ class TestSerialization:
                 load(json.dumps(data))
         assert load(json.dumps(good)) == service_desk()
 
+    def test_valuation_of_unknown_state_is_named(self):
+        data = json.loads(save(service_desk()))
+        data["valuation"].update(zz=[])
+        with pytest.raises(ModelError) as err:
+            load(json.dumps(data))
+        assert str(err.value) == "valuation for unknown state 'zz'"
+
     def test_not_json(self):
         with pytest.raises(ModelError):
             load(b"{nope")

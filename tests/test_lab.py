@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from knowpool import formula
+from knowpool import formula, lab
 from knowpool.formula import (OkAtom, Schema, _walk, expand, instantiate,
                               meta_formulas_of, parse, print_formula)
 from knowpool.kripke import Model, PointedModel
@@ -184,6 +184,18 @@ class TestReferenceSuite:
         # no Ok atom may survive into the formula that is evaluated
         rewritten = expand(_possibility_reading(parse(text)))
         assert not any(isinstance(g, OkAtom) for g in _walk(rewritten))
+
+    def test_possibility_reading_rewrites_each_distinct_node_once(
+            self, monkeypatch):
+        # nested E expands to a DAG of 5k+1 distinct nodes but 3^k paths
+        f = parse("E{a,b,c}" * 8 + "Ok{a}")
+        real = lab.rebuild
+        seen = []
+        monkeypatch.setattr(lab, "rebuild",
+                            lambda g, *rest: seen.append(g) or real(g, *rest))
+        _possibility_reading(f)
+        assert len(seen) == len(set(seen))
+        assert set(seen) <= set(_walk(expand(f)))
 
     def test_report_without_schemas(self):
         report = run_reference_suite(CFG, include_schemas=False)
