@@ -17,8 +17,9 @@ agent slot that table names, and the evaluator looks up the same slots.
 except the placeholders it is told are free.
 
 Nodes are hash-consed (Filliâtre and Conchon, "Type-safe modular
-hash-consing", 2006): the constructor builds and validates the node, then
-returns the equal node from a weak table of live nodes if there is one,
+hash-consing", 2006): the constructor returns the equal node from a weak
+table of live nodes if there is one (looked up before building the node
+when every field is given in order, else after building and validating it),
 so equal formulas are one object, equality and hashing go by identity,
 and a formula is a DAG whose shared subformulas (the body of an expanded
 `E`) are stored and walked once.
@@ -71,11 +72,23 @@ def _forget(ref: weakref.KeyedRef) -> None:
 
 
 class _Interned(type):
-    """Hash-consing constructor: the dataclass constructor binds the
-    arguments and validates the node; a node equal to a live one is then
-    dropped for that one."""
+    """Hash-consing constructor: a positional call whose arguments are the
+    fields of a live node returns that node; otherwise the dataclass
+    constructor binds the arguments and validates the node, and a node
+    equal to a live one is then dropped for that one."""
 
     def __call__(cls, *args, **kwargs):
+        if not kwargs:
+            # every field given in order (as `rebuild` and the parser's
+            # binary and atom nodes call): a live node with these fields
+            # needs no constructor
+            try:
+                ref = _TABLE.get((cls, *args))
+            except TypeError:  # an unhashable argument: let the
+                ref = None     # constructor judge it
+            live = None if ref is None else ref()
+            if live is not None:
+                return live
         node = super().__call__(*args, **kwargs)
         # a new node holds its fields and nothing else, in field order
         key = (cls, *vars(node).values())
@@ -388,12 +401,8 @@ def _nests_deeper(f: Formula, levels: int) -> bool:
 # tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# A token is a plain tuple (kind, text, line, column), cheap to build.
+_KIND, _TEXT = 0, 1
 
 
 _PUNCT = {
@@ -423,10 +432,10 @@ def _tokenize(text: str) -> list:
                 raise ParseError("stray %r" % tok if tok in "-<"
                                  else "unexpected character %r" % tok,
                                  line, col)
-            toks.append(_Token(_PUNCT[tok], tok, line, col))
+            toks.append((_PUNCT[tok], tok, line, col))
         elif kind is not None:  # None: spaces
-            toks.append(_Token(kind, tok, line, col))
-    toks.append(_Token("EOF", "", line, len(text) - start + 1))
+            toks.append((kind, tok, line, col))
+    toks.append(("EOF", "", line, len(text) - start + 1))
     return toks
 
 
@@ -462,11 +471,11 @@ def _program(cls: type, head: str) -> tuple:
     defaults = {name for name, _, default in _agent_fields(cls) if default}
     toks = _tokenize(head)
     steps = []
-    for tok, after in zip(toks, toks[1:]):  # the last token is EOF
-        role = roles.get(tok.text)
-        if role is None and after.text in defaults:
+    for (kind, text, _, _), after in zip(toks, toks[1:]):  # then EOF
+        role = roles.get(text)
+        if role is None and after[_TEXT] in defaults:
             role = _OPTIONAL
-        steps.append((tok.kind, tok.text, role))
+        steps.append((kind, text, role))
     return tuple(steps)
 
 
@@ -494,9 +503,9 @@ _PREFIX = len(_BINARY) + 1
 MAX_DEPTH = 64
 
 
-def _too_deep(tok: _Token) -> ParseError:
+def _too_deep(tok: tuple) -> ParseError:
     return ParseError("formula nests deeper than %d levels" % MAX_DEPTH,
-                      tok.line, tok.col)
+                      *tok[2:])
 
 
 class _Parser:
@@ -518,20 +527,20 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise _too_deep(self.peek())
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> tuple:
         tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text if tok.kind != "EOF" else "end of input"
+        if tok[_KIND] != kind:
+            found = tok[_TEXT] if tok[_KIND] != "EOF" else "end of input"
             raise ParseError("expected %s, found %r" % (what, found),
-                             tok.line, tok.col)
+                             *tok[2:])
         return self.advance()
 
     def binary(self, level: int) -> Formula:
@@ -540,7 +549,7 @@ class _Parser:
             return self.unary()
         token, cls, right = _BINARY[level]
         f = self.binary(level + 1)
-        while self.peek().text == token:
+        while self.peek()[_TEXT] == token:
             self.advance()
             if right:
                 self.enter()
@@ -552,7 +561,7 @@ class _Parser:
 
     def unary(self) -> Formula:
         self.enter()
-        heads = _STARTS.get(self.peek().text)
+        heads = _STARTS.get(self.peek()[_TEXT])
         f = self.primary() if heads is None else self.node(heads)
         self.depth -= 1
         return f
@@ -584,7 +593,7 @@ class _Parser:
                 args[text] = self.agent()
             elif role is _AGENTS:
                 args[text] = self.agent_list()
-            elif self.peek().kind == kind:
+            elif self.peek()[_KIND] == kind:
                 self.advance()
             elif role is _OPTIONAL:
                 next(steps)  # the field keeps its default
@@ -593,32 +602,31 @@ class _Parser:
         return args
 
     def primary(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "LPAREN":
+        kind, text, line, col = self.advance()
+        if kind == "LPAREN":
             f = self.binary(0)
             self.expect("RPAREN", "')'")
             return f
-        if tok.kind == "IDENT":
-            if tok.text[0].islower():
-                return Atom(tok.text)
-            return MetaFormula(tok.text)
-        found = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError("expected a formula, found %r" % found,
-                         tok.line, tok.col)
+        if kind == "IDENT":
+            if text[0].islower():
+                return Atom(text)
+            return MetaFormula(text)
+        found = text if kind != "EOF" else "end of input"
+        raise ParseError("expected a formula, found %r" % found, line, col)
 
     def agent_list(self) -> tuple:
         names = [self.agent()]
-        while self.peek().kind == "COMMA":
+        while self.peek()[_KIND] == "COMMA":
             self.advance()
             names.append(self.agent())
         return tuple(names)
 
     def agent(self) -> str:
-        tok = self.expect("IDENT", "an agent name")
-        if tok.text in _KEYWORDS:
-            raise ParseError("%r cannot be used as an agent name" % tok.text,
-                             tok.line, tok.col)
-        return tok.text
+        _, text, line, col = self.expect("IDENT", "an agent name")
+        if text in _KEYWORDS:
+            raise ParseError("%r cannot be used as an agent name" % text,
+                             line, col)
+        return text
 
 
 def parse(text: str) -> Formula:

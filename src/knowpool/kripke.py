@@ -5,6 +5,15 @@ transitivity hold by construction.  A model optionally carries an ideal
 relation (a non-empty symmetric set of state pairs inside the union of the
 agent relations) and a designated evaluation point.
 
+Inside, a set of states is an int mask whose bit i stands for the i-th
+state of `m.states`, the explicit-state bitset representation of epistemic
+model checkers.  A model holds each agent's cells as masks and the cell of
+every state, each atom's valuation mask and each state's ideal partners;
+the definability blocks and the dependence closures are derived from these
+on first use.  An updated model (`replace_relations`) shares the state
+order, valuation and ideal masks of the model it came from.  The public
+functions read state names off the masks.
+
 `atoms_partition` computes the modal-equivalence blocks of the static
 language by partition refinement against the valuation and every agent's
 relation.  `dep_closure(m, a, w)` returns cl_a(w), the union of blocks
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
@@ -31,6 +40,11 @@ class Partition:
     """Disjoint blocks covering a state set."""
 
     blocks: tuple
+    _of: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_of",
+                           {s: b for b in self.blocks for s in b})
 
     def __iter__(self) -> Iterator[frozenset]:
         return iter(self.blocks)
@@ -39,43 +53,102 @@ class Partition:
         return len(self.blocks)
 
     def block_of(self, state: str) -> frozenset:
-        for b in self.blocks:
-            if state in b:
-                return b
-        raise KeyError(state)
+        return self._of[state]
+
+
+def _low(mask: int) -> int:
+    """The lowest set bit: cells sort by it, i.e. by their first state."""
+    return mask & -mask
+
+
+def _members(mask: int) -> list:
+    """The bit positions (state indices) of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _cell_array(cells: tuple, n: int) -> tuple:
+    """The cell of each state, by state index."""
+    at = [0] * n
+    for c in cells:
+        for i in _members(c):
+            at[i] = c
+    return tuple(at)
+
+
+class _Frame:
+    """What a model shares with every model updated from it: the state
+    order, and the valuation and ideal relation as masks."""
+
+    __slots__ = ("index", "full", "val", "partners", "names", "hash", "rank")
+
+    def __init__(self, states: tuple, val: dict, ideal):
+        self.index = index = {s: i for i, s in enumerate(states)}
+        self.full = (1 << len(states)) - 1
+        self.val = masks = {}
+        for s, i in index.items():
+            for p in val[s]:
+                masks[p] = masks.get(p, 0) | 1 << i
+        partners = [0] * len(states)
+        for pair in ideal or ():
+            ends = [index[s] for s in pair]  # one state for a loop
+            u, v = ends[0], ends[-1]
+            partners[u] |= 1 << v
+            partners[v] |= 1 << u
+        self.partners = tuple(partners)
+        # mask -> frozenset of state names, filled as masks are read
+        self.names = {}
+        # set on first hash: the hash of the name-level content shared by
+        # every model of the frame, and the bit of each state in name order
+        # (None when the states already are in name order)
+        self.hash = None
+        self.rank = None
 
 
 class Model:
     """Immutable by convention: operations return fresh models."""
 
+    __slots__ = ("states", "agents", "atoms", "val", "ideal", "point",
+                 "_frame", "_cells", "_cell_at", "_blocks", "_closure",
+                 "_hash", "__weakref__")
+
     def __init__(self, states: Iterable, agents: Iterable, atoms: Iterable,
                  rel: Mapping, val: Mapping, ideal=None, point=None,
                  validate: bool = True):
-        self.states = tuple(states)
+        self.states = states = tuple(states)
         self.agents = tuple(agents)
         self.atoms = tuple(atoms)
-        self._index = {s: i for i, s in enumerate(self.states)}
-        order = self._index
-        self.rel = {
-            a: tuple(sorted((frozenset(c) for c in cells),
-                            key=lambda c: min(order[s] for s in c)))
-            for a, cells in rel.items()
-        }
-        for a in self.agents:
-            if a not in self.rel:
-                self.rel[a] = tuple(frozenset({s}) for s in self.states)
-        self.val = {s: frozenset(val.get(s, ())) for s in self.states}
+        rel = {a: tuple(frozenset(c) for c in cells)
+               for a, cells in rel.items()}
+        self.val = {s: frozenset(val.get(s, ())) for s in states}
         self.ideal = None if ideal is None else \
             frozenset(frozenset(p) for p in ideal)
         self.point = point
-        self._cell = {}
-        self._blocks = None
-        self._dep = {}
-        self._hash = None
         if validate:
-            self._validate(val)
+            self._validate(rel, val)
+        self._frame = _Frame(states, self.val, self.ideal)
+        index = self._frame.index
+        masks = {a: sorted((sum(1 << index[s] for s in c) for c in cells),
+                           key=_low)
+                 for a, cells in rel.items()}
+        for a in self.agents:
+            if a not in masks:
+                masks[a] = [1 << i for i in range(len(states))]
+        self._cells, self._cell_at = {}, {}
+        self._set_cells(masks)
 
-    def _validate(self, val: Mapping) -> None:
+    def _set_cells(self, cells: Mapping) -> None:
+        # cells: agent -> cell masks ordered by their first state
+        for a, masks in cells.items():
+            self._cells[a] = masks = tuple(masks)
+            self._cell_at[a] = _cell_array(masks, len(self.states))
+        self._blocks = self._closure = self._hash = None
+
+    def _validate(self, rel: dict, val: Mapping) -> None:
         # `val` is the valuation as given: self.val keeps only known states
         if not self.states:
             raise ModelError("model needs at least one state")
@@ -91,7 +164,7 @@ class Model:
                 if not isinstance(n, str) or not _NAME_RE.match(n):
                     raise ModelError("bad %s name %r" % (what, n))
         universe = frozenset(self.states)
-        for a, cells in self.rel.items():
+        for a, cells in rel.items():
             if a not in self.agents:
                 raise ModelError("relation for unknown agent %r" % a)
             seen = set()
@@ -104,7 +177,7 @@ class Model:
             if seen != universe:
                 raise ModelError("cells for agent %r do not cover all states" % a)
         for s in val:
-            if s not in self._index:
+            if s not in universe:
                 raise ModelError("valuation for unknown state %r" % (s,))
         for atoms in self.val.values():
             extra = atoms - frozenset(self.atoms)
@@ -113,64 +186,144 @@ class Model:
         if self.ideal is not None:
             if not self.ideal:
                 raise ModelError("ideal relation must be non-empty")
+            cell_of = {a: {s: c for c in rel.get(a, ()) for s in c}
+                       for a in self.agents}
             for pair in self.ideal:
                 if not 1 <= len(pair) <= 2 or not pair <= universe:
                     raise ModelError("bad ideal pair %r" % sorted(pair))
-                if not any(pair <= self.cell(a, min(pair, key=self._index.get))
+                # an agent without a relation sees every state apart
+                s = next(iter(pair))
+                if not any(pair <= cell_of[a].get(s, {s})
                            for a in self.agents):
                     raise ModelError("ideal pair %r outside every agent relation"
                                      % sorted(pair))
-        if self.point is not None and self.point not in self._index:
+        if self.point is not None and self.point not in universe:
             raise ModelError("point %r is not a state" % (self.point,))
 
+    # -- names read off the masks
+
+    def _names(self, mask: int) -> frozenset:
+        names = self._frame.names
+        out = names.get(mask)
+        if out is None:
+            states = self.states
+            out = names[mask] = frozenset([states[i] for i in _members(mask)])
+        return out
+
+    @property
+    def rel(self) -> dict:
+        """Each agent's cells, as `cells` gives them."""
+        return {a: self.cells(a) for a in self._cells}
+
     def cell(self, agent: str, state: str) -> frozenset:
-        try:
-            lookup = self._cell[agent]
-        except KeyError:
-            lookup = {s: c for c in self.rel[agent] for s in c}
-            self._cell[agent] = lookup
-        return lookup[state]
+        return self._names(self._cell_at[agent][self._frame.index[state]])
 
     def cells(self, agent: str) -> tuple:
-        return self.rel[agent]
+        """The agent's cells, ordered by their first state."""
+        return tuple(map(self._names, self._cells[agent]))
 
     def ideal_partners(self, state: str) -> frozenset:
         """O[state]: the states ideally related to this one."""
-        if self.ideal is None:
-            return frozenset()
-        out = set()
-        for pair in self.ideal:
-            if state in pair:
-                other = pair - {state}
-                out.add(next(iter(other)) if other else state)
-        return frozenset(out)
+        return self._names(self._frame.partners[self._frame.index[state]])
 
-    def replace_relations(self, new_rel: Mapping) -> "Model":
-        """Fresh model with some agents' partitions swapped out."""
-        rel = dict(self.rel)
-        rel.update(new_rel)
-        return Model(self.states, self.agents, self.atoms, rel, self.val,
-                     self.ideal, self.point, validate=False)
+    # -- masks derived on first use
 
-    def _key(self):
-        return (frozenset(self.states), frozenset(self.agents),
-                frozenset(self.atoms),
-                frozenset((a, frozenset(cells)) for a, cells in self.rel.items()),
-                frozenset(self.val.items()), self.ideal, self.point)
+    def _block_masks(self) -> tuple:
+        """The definability blocks, ordered by their first state."""
+        if self._blocks is None:
+            self._definability()
+        return self._blocks
+
+    def _closure_at(self, agent: str) -> tuple:
+        """cl_agent(w) of each state w, by state index."""
+        if self._closure is None:
+            self._definability()
+        return self._closure[agent]
+
+    def _definability(self) -> None:
+        color = _refine(self, _rank([tuple(sorted(self.val[s]))
+                                     for s in self.states]))
+        of_color = {}  # in order of each colour's first state
+        for i, c in enumerate(color):
+            of_color[c] = of_color.get(c, 0) | 1 << i
+        block_at = [of_color[c] for c in color]
+        closure = {}
+        for a, cells in self._cells.items():
+            at = [0] * len(color)
+            for cell in cells:
+                states = _members(cell)
+                cl = 0
+                for i in states:
+                    cl |= block_at[i]
+                for i in states:
+                    at[i] = cl
+            closure[a] = tuple(at)
+        self._blocks = tuple(of_color.values())
+        self._closure = closure
+
+    def replace_relations(self, cells: Mapping) -> "Model":
+        """Fresh model with some agents' cells swapped out.
+
+        `cells` maps an agent to its new cells as state masks ordered by
+        their first state.  Everything else is shared with this model and
+        not validated again."""
+        new = object.__new__(Model)
+        new.states, new.agents, new.atoms = self.states, self.agents, self.atoms
+        new.val, new.ideal, new.point = self.val, self.ideal, self.point
+        new._frame = self._frame
+        new._cells, new._cell_at = dict(self._cells), dict(self._cell_at)
+        new._set_cells(cells)
+        return new
+
+    # -- equality by content: states, agents and atoms as sets
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Model):
             return NotImplemented
-        return self._key() == other._key()
+        if self._frame is other._frame:  # one came from the other
+            return self._cells == other._cells and self.point == other.point
+        if self.states == other.states:  # one state order: masks compare
+            same_cells = self._cells == other._cells
+        else:
+            same_cells = set(self.states) == set(other.states) and \
+                _named_cells(self) == _named_cells(other)
+        return (same_cells and self.point == other.point
+                and self.val == other.val and self.ideal == other.ideal
+                and set(self.agents) == set(other.agents)
+                and set(self.atoms) == set(other.atoms))
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._key())
+            frame = self._frame
+            if frame.hash is None:
+                frame.hash = hash((frozenset(self.states),
+                                   frozenset(self.agents),
+                                   frozenset(self.atoms),
+                                   frozenset(self.val.items()), self.ideal))
+                order = sorted(range(len(self.states)),
+                               key=self.states.__getitem__)
+                if order != list(range(len(order))):
+                    rank = [0] * len(order)
+                    for r, i in enumerate(order):
+                        rank[i] = 1 << r
+                    frame.rank = tuple(rank)
+            cells = self._cells
+            if frame.rank is not None:  # masks in the order of the names
+                cells = {a: tuple(sorted((sum(frame.rank[i]
+                                              for i in _members(c))
+                                          for c in masks), key=_low))
+                         for a, masks in cells.items()}
+            self._hash = hash((frame.hash, self.point,
+                               frozenset(cells.items())))
         return self._hash
 
     def __repr__(self) -> str:
         return "Model(states=%r, agents=%r, point=%r)" % (
             list(self.states), list(self.agents), self.point)
+
+
+def _named_cells(m: Model) -> dict:
+    return {a: frozenset(cells) for a, cells in m.rel.items()}
 
 
 @dataclass(frozen=True)
@@ -179,7 +332,7 @@ class PointedModel:
     point: str
 
     def __post_init__(self):
-        if self.point not in self.model._index:
+        if self.point not in self.model._frame.index:
             raise ModelError("point %r is not a state" % (self.point,))
 
 
@@ -195,33 +348,31 @@ def pointed(m: Model, state=None) -> PointedModel:
 # definability blocks and the dependence closure
 
 
-def _rank(keys: dict) -> dict:
+def _rank(keys: list) -> list:
     """Colour each state by the rank of its key among the sorted keys."""
-    classes = {}
-    for s, key in keys.items():
-        classes.setdefault(key, []).append(s)
-    return {s: i for i, key in enumerate(sorted(classes))
-            for s in classes[key]}
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
 
 
-def _refine(m: Model, color: dict, ideal: bool = False) -> dict:
+def _refine(m: Model, color: list, ideal: bool = False) -> list:
     """Split colour classes by the colours each agent's cell meets (and,
-    if `ideal`, the colours of the ideal partners) until none splits."""
-    agents = sorted(m.agents)
+    if `ideal`, the colours of the ideal partners) until none splits.
+    Colours are listed by state index."""
+    groups = [_members(c) for a in sorted(m.agents) for c in m._cells[a]]
+    if ideal:
+        partners = [_members(p) for p in m._frame.partners]
     while True:
-        sigs = {s: [color[s]] for s in m.states}
-        for a in agents:
-            for cell in m.rel[a]:
-                met = tuple(sorted({color[u] for u in cell}))
-                for s in cell:
-                    sigs[s].append(met)
+        sigs = [[c] for c in color]
+        for states in groups:
+            met = tuple(sorted({color[i] for i in states}))
+            for i in states:
+                sigs[i].append(met)
         if ideal:
-            for s in m.states:
-                sigs[s].append(tuple(sorted({color[u]
-                                             for u in m.ideal_partners(s)})))
+            for sig, states in zip(sigs, partners):
+                sig.append(tuple(sorted({color[i] for i in states})))
         # a signature starts with the colour, so classes only split, and
         # an unchanged colouring is stable
-        new = _rank({s: tuple(sig) for s, sig in sigs.items()})
+        new = _rank([tuple(sig) for sig in sigs])
         if new == color:
             return color
         color = new
@@ -233,43 +384,20 @@ def atoms_partition(m: Model) -> Partition:
     Two states end up in the same block iff they satisfy the same formulas
     of the static language, so blocks are the definable building bricks.
     """
-    if m._blocks is not None:
-        return m._blocks
-    block_id = _refine(m, _rank({s: tuple(sorted(m.val[s]))
-                                 for s in m.states}))
-    blocks = {}
-    for s in m.states:
-        blocks.setdefault(block_id[s], set()).add(s)
-    part = Partition(tuple(sorted((frozenset(b) for b in blocks.values()),
-                                  key=lambda b: min(m._index[s] for s in b))))
-    m._blocks = part
-    return part
+    return Partition(tuple(map(m._names, m._block_masks())))
 
 
 def dep_closure(m: Model, agent: str, state: str) -> frozenset:
     """cl_a(w): union of definability blocks meeting the cell of w under a."""
-    key = (agent, state)
-    cached = m._dep.get(key)
-    if cached is not None:
-        return cached
-    cell = m.cell(agent, state)
-    out = set()
-    for b in atoms_partition(m):
-        if b & cell:
-            out |= b
-    result = frozenset(out)
-    for s in cell:
-        m._dep[(agent, s)] = result
-    return result
+    return m._names(m._closure_at(agent)[m._frame.index[state]])
 
 
 def dep_partition(m: Model, agent: str, state: str) -> Partition:
     """The dependence relation at `state` as a partition: cl_a(w) is one
     class, and every block outside it stays its own class."""
-    cl = dep_closure(m, agent, state)
-    pieces = [cl] + [b for b in atoms_partition(m) if not b & cl]
-    return Partition(tuple(sorted(pieces,
-                                  key=lambda b: min(m._index[s] for s in b))))
+    cl = m._closure_at(agent)[m._frame.index[state]]
+    pieces = [cl] + [b for b in m._block_masks() if not b & cl]
+    return Partition(tuple(map(m._names, sorted(pieces, key=_low))))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +521,7 @@ def save(m: Model) -> bytes:
     Relation pair lists are written as the full closure (loops included),
     so the output also loads in strict mode.
     """
-    order = m._index
+    order = m._frame.index
     relations = {}
     for a in m.agents:
         pairs = [[u, v] for c in m.cells(a)
@@ -419,41 +547,44 @@ def save(m: Model) -> bytes:
     return (json.dumps(data, indent=2) + "\n").encode("utf-8")
 
 
+
+
 # ---------------------------------------------------------------------------
 # canonical fingerprints
 
 
-def _canonical_bytes(m: Model, point: str, color: dict) -> bytes:
+def _canonical_bytes(m: Model, point: int, color: list) -> bytes:
     color = _refine(m, color, ideal=True)
     classes = {}
-    for s in m.states:
-        classes.setdefault(color[s], []).append(s)
+    for i, c in enumerate(color):
+        classes.setdefault(c, []).append(i)
     ambiguous = [c for c, members in sorted(classes.items())
                  if len(members) > 1]
     if ambiguous:
-        target = classes[ambiguous[0]]
-        fresh = max(color.values()) + 1
+        fresh = max(color) + 1
         best = None
-        for s in sorted(target, key=m._index.get):
-            branched = dict(color)
-            branched[s] = fresh
+        for i in classes[ambiguous[0]]:
+            branched = list(color)
+            branched[i] = fresh
             cand = _canonical_bytes(m, point, branched)
             if best is None or cand < best:
                 best = cand
         return best
     # colors are all distinct: read off the canonical ordering
-    position = {s: color[s] for s in m.states}
-    rank = {s: i for i, s in
-            enumerate(sorted(m.states, key=lambda s: position[s]))}
+    rank = [0] * len(color)
+    for r, i in enumerate(sorted(range(len(color)), key=color.__getitem__)):
+        rank[i] = r
+    index = m._frame.index
     data = {
         "n": len(m.states),
-        "atoms": {p: sorted(rank[s] for s in m.states if p in m.val[s])
+        "atoms": {p: sorted(rank[i] for i in _members(m._frame.val.get(p, 0)))
                   for p in sorted(m.atoms)},
-        "agents": {a: sorted(sorted(rank[s] for s in c)
-                             for c in m.cells(a))
+        "agents": {a: sorted(sorted(rank[i] for i in _members(c))
+                             for c in m._cells[a])
                    for a in sorted(m.agents)},
         "ideal": None if m.ideal is None else
-                 sorted(sorted(rank[s] for s in pair) for pair in m.ideal),
+                 sorted(sorted(rank[index[s]] for s in pair)
+                        for pair in m.ideal),
         "point": rank[point],
     }
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
@@ -473,7 +604,6 @@ def fingerprint(pm: PointedModel) -> bytes:
     planner no longer calls it, since it deduplicates on exact models.
     """
     m = pm.model
-    base = _rank({s: (s == pm.point, tuple(sorted(m.val[s])))
-                  for s in m.states})
+    base = _rank([(s == pm.point, tuple(sorted(m.val[s]))) for s in m.states])
     # the stored default point is presentation metadata, not structure
-    return _canonical_bytes(m, pm.point, base)
+    return _canonical_bytes(m, m._frame.index[pm.point], base)

@@ -7,8 +7,12 @@ build a different model per state.  An `EvalContext` memoizes extensions per
 (model, kernel node) and reuses updated models across states that trigger
 the same update.  Formula nodes are interned and cache their own expansion
 (see `formula`), so a memo key hashes in constant time and a formula seen
-before is not expanded again; the same model object should be passed for
-the memo to hit without comparing models field by field.
+before is not expanded again.
+
+Evaluation works on state masks (see `kripke`): one rule per kernel node
+type maps a model and a node to the mask of the states where it holds, the
+update memo is keyed by the receiver's cell and the sender's closure as
+masks, and state names appear only in what `extension` and `check` return.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from dataclasses import dataclass
 from .formula import (_AGENT, And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp,
                       K, MetaFormula, Not, OkAtom, Or, ResolveInfo, Share, Top,
                       _agent_fields, expand)
-from .kripke import Model, PointedModel, dep_closure, save
+from .kripke import Model, PointedModel, _low, save
+# unused here; bench/layers.py traces `semantics.dep_closure` by name
+from .kripke import dep_closure  # noqa: F401
 from .update import resolve_update, share_update
 
 
@@ -38,14 +44,16 @@ class EvalContext:
 
     def updated(self, m: Model, w: str, sender: str, receiver: str) -> Model:
         # the update depends on the state only through (cell, closure)
-        key = (m, sender, receiver, m.cell(receiver, w),
-               dep_closure(m, sender, w))
+        i = m._frame.index[w]
+        key = (m, sender, receiver, m._cell_at[receiver][i],
+               m._closure_at(sender)[i])
         out = self._upd.get(key)
         if out is None:
             out = share_update(m, w, sender, receiver)
             self._upd[key] = out
         elif self.debug:
-            assert out == share_update(m, w, sender, receiver)
+            assert out == share_update(m, w, sender, receiver), \
+                "memo entry diverged from recomputation"
         return out
 
     def resolved(self, m: Model, group: tuple) -> Model:
@@ -54,6 +62,9 @@ class EvalContext:
         if out is None:
             out = resolve_update(m, group)
             self._res[key] = out
+        elif self.debug:
+            assert out == resolve_update(m, group), \
+                "memo entry diverged from recomputation"
         return out
 
 
@@ -62,10 +73,11 @@ def extension(m: Model, f: Formula, ctx: EvalContext | None = None) -> frozenset
     once per node (`expand` caches the kernel on the node)."""
     if ctx is None:
         ctx = EvalContext()
-    return _ext(m, expand(f), ctx)
+    return m._names(_ext(m, expand(f), ctx))
 
 
-def _ext(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
+def _ext(m: Model, f: Formula, ctx: EvalContext) -> int:
+    """The states where `f` holds, as a mask of `m`'s states."""
     key = (m, f)
     hit = ctx._ext.get(key)
     if hit is not None:
@@ -78,67 +90,98 @@ def _ext(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
     return out
 
 
-def _compute(m: Model, f: Formula, ctx: EvalContext) -> frozenset:
-    for name, role, _ in _agent_fields(type(f)):
+def _compute(m: Model, f: Formula, ctx: EvalContext) -> int:
+    cls = type(f)
+    for name, role, _ in _agent_fields(cls):
         names = getattr(f, name)
         for a in (names,) if role is _AGENT else names:
-            if a not in m.rel:
+            if a not in m._cells:
                 raise EvalError("unknown agent %r" % (a,))
-    states = frozenset(m.states)
-    if isinstance(f, Atom):
-        if f.name not in m.atoms:
-            raise EvalError("unknown atom %r" % f.name)
-        return frozenset(s for s in m.states if f.name in m.val[s])
-    if isinstance(f, Top):
-        return states
-    if isinstance(f, Bot):
-        return frozenset()
-    if isinstance(f, Not):
-        return states - _ext(m, f.body, ctx)
-    if isinstance(f, And):
-        return _ext(m, f.left, ctx) & _ext(m, f.right, ctx)
-    if isinstance(f, Or):
-        return _ext(m, f.left, ctx) | _ext(m, f.right, ctx)
-    if isinstance(f, Imp):
-        return (states - _ext(m, f.left, ctx)) | _ext(m, f.right, ctx)
-    if isinstance(f, Iff):
-        left, right = _ext(m, f.left, ctx), _ext(m, f.right, ctx)
-        return states - (left ^ right)
-    if isinstance(f, (K, D)):
-        body = _ext(m, f.body, ctx)
-        return frozenset(w for w in m.states if _reach(m, f, w) <= body)
-    if isinstance(f, Share):
-        out = set()
-        for w in m.states:
-            updated = ctx.updated(m, w, f.sender, f.receiver)
-            if w in _ext(updated, f.body, ctx):
-                out.add(w)
-        return frozenset(out)
-    if isinstance(f, ResolveInfo):
-        return _ext(ctx.resolved(m, f.group), f.body, ctx)
-    if isinstance(f, IdealAtom):
-        _need_ideal(m, "O")
-        return frozenset(s for s in m.states if m.ideal_partners(s))
-    if isinstance(f, OkAtom):
-        _need_ideal(m, "Ok{%s}" % f.agent)
-        return frozenset(s for s in m.states
-                         if m.cell(f.agent, s) & m.ideal_partners(s))
-    if isinstance(f, MetaFormula):
-        raise EvalError("schema variable %r cannot be evaluated" % f.name)
-    raise EvalError("cannot evaluate %r" % (f,))
+    rule = _RULES.get(cls)
+    if rule is None:
+        raise EvalError("cannot evaluate %r" % (f,))
+    return rule(m, f, ctx)
 
 
-def _reach(m: Model, f: K | D, w: str) -> frozenset:
-    """The states the box of `f` ranges over at w: the agent's cell met
-    with each dependency's closure, or the meet of the group's cells."""
-    if isinstance(f, K):
-        reach = m.cell(f.agent, w)
+# One rule per kernel node type: rule(model, node, context) -> state mask.
+
+
+def _atom(m: Model, f: Atom, ctx: EvalContext) -> int:
+    if f.name not in m.atoms:
+        raise EvalError("unknown atom %r" % f.name)
+    return m._frame.val.get(f.name, 0)
+
+
+def _box(m: Model, f: K | D, ctx: EvalContext) -> int:
+    body = _ext(m, f.body, ctx)
+    return _states_where(reach & body == reach for reach in _reach(m, f))
+
+
+def _share(m: Model, f: Share, ctx: EvalContext) -> int:
+    out = 0
+    for i, w in enumerate(m.states):
+        updated = ctx.updated(m, w, f.sender, f.receiver)
+        out |= _ext(updated, f.body, ctx) & 1 << i
+    return out
+
+
+def _ideal(m: Model, f: IdealAtom, ctx: EvalContext) -> int:
+    _need_ideal(m, "O")
+    return _states_where(map(bool, m._frame.partners))
+
+
+def _ok(m: Model, f: OkAtom, ctx: EvalContext) -> int:
+    _need_ideal(m, "Ok{%s}" % f.agent)
+    return _states_where(map(int.__and__, m._cell_at[f.agent],
+                             m._frame.partners))
+
+
+def _meta(m: Model, f: MetaFormula, ctx: EvalContext) -> int:
+    raise EvalError("schema variable %r cannot be evaluated" % f.name)
+
+
+_RULES = {
+    Atom: _atom,
+    Top: lambda m, f, ctx: m._frame.full,
+    Bot: lambda m, f, ctx: 0,
+    Not: lambda m, f, ctx: m._frame.full ^ _ext(m, f.body, ctx),
+    And: lambda m, f, ctx: _ext(m, f.left, ctx) & _ext(m, f.right, ctx),
+    Or: lambda m, f, ctx: _ext(m, f.left, ctx) | _ext(m, f.right, ctx),
+    Imp: lambda m, f, ctx:
+        m._frame.full ^ _ext(m, f.left, ctx) | _ext(m, f.right, ctx),
+    Iff: lambda m, f, ctx:
+        m._frame.full ^ _ext(m, f.left, ctx) ^ _ext(m, f.right, ctx),
+    K: _box,
+    D: _box,
+    Share: _share,
+    ResolveInfo: lambda m, f, ctx: _ext(ctx.resolved(m, f.group), f.body, ctx),
+    IdealAtom: _ideal,
+    OkAtom: _ok,
+    MetaFormula: _meta,
+}
+
+
+def _states_where(flags) -> int:
+    """The mask of the states whose flag, listed by state index, is set."""
+    out = 0
+    for i, flag in enumerate(flags):
+        if flag:
+            out |= 1 << i
+    return out
+
+
+def _reach(m: Model, f: K | D) -> tuple:
+    """The states the box of `f` ranges over at each state, by state index:
+    the agent's cell met with each dependency's closure, or the meet of
+    the group's cells."""
+    if type(f) is K:
+        reach = m._cell_at[f.agent]
         for d in f.deps:
-            reach = reach & dep_closure(m, d, w)
+            reach = tuple(map(int.__and__, reach, m._closure_at(d)))
         return reach
-    reach = m.cell(f.group[0], w)
+    reach = m._cell_at[f.group[0]]
     for a in f.group[1:]:
-        reach = reach & m.cell(a, w)
+        reach = tuple(map(int.__and__, reach, m._cell_at[a]))
     return reach
 
 
@@ -166,12 +209,13 @@ def check(pm: PointedModel, f: Formula, ctx: EvalContext | None = None) -> Check
         ctx = EvalContext()
     m = pm.model
     g = expand(f)
-    value = pm.point in _ext(m, g, ctx)
+    i = m._frame.index[pm.point]
+    value = bool(_ext(m, g, ctx) >> i & 1)
     witness = None
     if not value:
         if isinstance(g, (K, D)):
-            body = _ext(m, g.body, ctx)
-            witness = min(_reach(m, g, pm.point) - body, key=m._index.get)
+            miss = _reach(m, g)[i] & ~_ext(m, g.body, ctx)
+            witness = m.states[_low(miss).bit_length() - 1]
         elif isinstance(g, Share):
             updated = ctx.updated(m, pm.point, g.sender, g.receiver)
             inner = check(PointedModel(updated, pm.point), g.body, ctx)

@@ -5,6 +5,10 @@ receiver's cell of w, the receiver's relation is intersected with the
 sender's dependence relation at w (computed in the pre-update model); every
 other cell and every other agent is untouched.  Resolution gives every group
 member the common intersection of the group's relations.
+
+Both work on the state masks of `kripke.Model` and build the updated model
+with `Model.replace_relations`, which shares the states, valuation and ideal
+relation with the model it starts from and validates nothing again.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .kripke import Model, ModelError, PointedModel, dep_partition
+from .kripke import Model, ModelError, PointedModel, _low
 
 
 @dataclass(frozen=True)
@@ -25,30 +29,31 @@ class ShareStep:
 
 
 def _check_agent(m: Model, a: str) -> None:
-    if a not in m.rel:
+    if a not in m._cells:
         raise ModelError("unknown agent %r" % (a,))
 
 
 def share_update(m: Model, w: str, a: str, b: str) -> Model:
     """The model after sender `a` conveys their knowledge to receiver `b` at `w`."""
-    if w not in m._index:
+    i = m._frame.index.get(w)
+    if i is None:
         raise ModelError("unknown state %r" % (w,))
     _check_agent(m, a)
     _check_agent(m, b)
     if a == b:
         # own dependence relation contains own cell: nothing to delete
         return m
-    target = m.cell(b, w)
-    pieces = []
-    for klass in dep_partition(m, a, w):
-        chunk = target & klass
-        if chunk:
-            pieces.append(chunk)
-    if len(pieces) == 1:
+    # the dependence relation at w: cl_a(w) is one class, and each block
+    # outside it another; it cuts the target cell into the pieces it meets
+    target = m._cell_at[b][i]
+    outside = target & ~m._closure_at(a)[i]
+    if not outside:
         return m
-    cells = [c for c in m.cells(b) if c != target]
-    cells.extend(pieces)
-    return m.replace_relations({b: cells})
+    pieces = [outside & block for block in m._block_masks() if outside & block]
+    cells = [c for c in m._cells[b] if c != target]
+    cells += pieces
+    cells.append(target ^ outside)
+    return m.replace_relations({b: sorted(cells, key=_low)})
 
 
 def resolve_update(m: Model, group: Iterable) -> Model:
@@ -58,15 +63,13 @@ def resolve_update(m: Model, group: Iterable) -> Model:
         raise ModelError("resolution needs a non-empty group")
     for g in members:
         _check_agent(m, g)
-    meet = {}
-    for s in m.states:
-        common = m.cell(members[0], s)
-        for g in members[1:]:
-            common = common & m.cell(g, s)
-        meet[frozenset(common)] = None
-    cells = tuple(meet)
-    if all(m.cells(g) == m.cells(members[0]) for g in members) \
-            and set(cells) == set(m.cells(members[0])):
+    meet = m._cell_at[members[0]]
+    for g in members[1:]:
+        meet = tuple(map(int.__and__, meet, m._cell_at[g]))
+    # each cell first appears at its first state
+    cells = tuple(dict.fromkeys(meet))
+    first = m._cells[members[0]]
+    if cells == first and all(m._cells[g] == first for g in members):
         return m
     return m.replace_relations({g: cells for g in members})
 

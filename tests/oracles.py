@@ -17,7 +17,7 @@ from knowpool.formula import (And, Atom, Bot, D, Everybody, IdealAtom, Iff,
                               Or, Permitted, PermittedShare, Resolution,
                               ResolveInfo, Share, Top, meta_formulas_of,
                               substitute)
-from knowpool.kripke import PointedModel, dep_closure, fingerprint
+from knowpool.kripke import Model, PointedModel, dep_closure, fingerprint
 from knowpool.norms import Plan
 from knowpool.semantics import EvalContext, EvalError, extension
 from knowpool.update import resolve_update, share_update
@@ -80,6 +80,33 @@ def equiv_classes(m, agent, state):
     out = frozenset(frozenset(g) for g in grouped.values())
     _equiv_cache[key] = out
     return out
+
+
+def reference_share_update(m, w, sender, receiver):
+    """The share update by its definition: the receiver's cell of w is cut
+    by the sender's dependence relation at w, whose classes are those of
+    `equiv_classes`; every other cell and every other agent stays."""
+    target = m.cell(receiver, w)
+    pieces = [target & k for k in equiv_classes(m, sender, w) if target & k]
+    cells = [c for c in m.cells(receiver) if c != target] + pieces
+    return _with_relations(m, {receiver: cells})
+
+
+def reference_resolve_update(m, group):
+    """Resolution by its definition: each member's cell of a state becomes
+    the meet of the group's cells of that state."""
+    meet = {frozenset.intersection(*(m.cell(g, s) for g in group))
+            for s in m.states}
+    return _with_relations(m, {g: tuple(meet) for g in group})
+
+
+def _with_relations(m, new):
+    rel = dict(m.rel)
+    rel.update(new)
+    # an update may leave an ideal pair outside every relation, so the
+    # result is not validated
+    return Model(m.states, m.agents, m.atoms, rel, m.val, ideal=m.ideal,
+                 point=m.point, validate=False)
 
 
 def isomorphic(m1, m2) -> bool:

@@ -475,6 +475,47 @@ class TestInterning:
         with pytest.raises(FormulaError):
             Not([Atom("p")])
 
+    def test_positional_hit_skips_the_constructor(self, monkeypatch):
+        p, q = Atom("p"), Atom("q")
+        live = [p, And(p, q), K("a", p, ("b",)), Share("a", "b", q)]
+
+        def refuse(self):
+            raise AssertionError("constructor ran for a live node")
+
+        for node in live:
+            monkeypatch.setattr(type(node), "__post_init__", refuse)
+        assert Atom("p") is p
+        assert And(p, q) is live[1]
+        assert K("a", p, ("b",)) is live[2]
+        assert Share("a", "b", q) is live[3]
+        monkeypatch.undo()
+        # keywords, a left-out default and an unhashable argument go
+        # through the constructor and still find the live node
+        assert K("a", p, deps=("b",)) is live[2]
+        assert K("a", p) is K("a", p, ())
+        assert K("a", p, ["b"]) is live[2]
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda p: And(p), TypeError,
+         "And.__init__() missing 1 required positional argument: 'right'"),
+        (lambda p: And(p, p, p), TypeError,
+         "And.__init__() takes 3 positional arguments but 4 were given"),
+        (lambda p: Atom("K"), FormulaError, "bad atom name 'K'"),
+        (lambda p: Atom(["p"]), FormulaError, "bad atom name ['p']"),
+        (lambda p: K("a", p, ("a",)), FormulaError,
+         "agent 'a' cannot be its own dependency"),
+        (lambda p: K(["a"], p), FormulaError, "bad agent name ['a']"),
+    ], ids=["missing", "extra", "keyword", "unhashable-atom", "own-dep",
+            "unhashable-agent"])
+    def test_a_miss_raises_as_the_constructor_does(self, call, error,
+                                                   message):
+        p = Atom("p")
+        alive = (And(p, p), K("a", p, ("b",)), Atom("q"))
+        with pytest.raises(error) as err:
+            call(p)
+        assert type(err.value) is error and str(err.value) == message
+        assert And(p, p) is alive[0]
+
     def test_a_call_that_does_not_fit_raises_type_error(self):
         with pytest.raises(TypeError):
             K("a")

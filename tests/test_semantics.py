@@ -1,5 +1,8 @@
 """Formula evaluation: extensions, pointed checks, witnesses, caching."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,6 +176,41 @@ class TestContext:
             f = parse(text)
             assert extension(m, f, shared) == extension(m, f, debug) \
                 == extension(m, f)
+
+    @pytest.mark.parametrize("memo, text, again", [
+        ("_upd", "[a>c]K{c}(p->q)",
+         lambda ctx, m: ctx.updated(m, "s0", "a", "c")),
+        ("_res", "Ri{a,b}K{a}q", lambda ctx, m: ctx.resolved(m, ("a", "b")))],
+        ids=["updated", "resolved"])
+    def test_debug_rederives_update_hits(self, memo, text, again):
+        m = overlap() if memo == "_res" else service_desk()
+        ctx = EvalContext(debug=True)
+        extension(m, parse(text), ctx)
+        updated = again(ctx, m)
+        assert updated != m and getattr(ctx, memo)
+        for key in getattr(ctx, memo):
+            getattr(ctx, memo)[key] = m  # as if the update had been lost
+        with pytest.raises(AssertionError):
+            again(ctx, m)
+
+
+def test_models_die_without_the_cycle_collector():
+    # neither a model nor an updated one is part of a reference cycle, so
+    # both are freed as soon as the last reference goes
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = service_desk()
+        ctx = EvalContext()
+        assert extension(m, parse("[a>c]K{c|b}(p->q)"), ctx)
+        updated = ctx.updated(m, "s0", "a", "c")
+        assert updated != m and hash(updated) and hash(m)
+        refs = [weakref.ref(m), weakref.ref(updated)]
+        del m, ctx, updated
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # random formulas over the agents and atoms of the random deontic models

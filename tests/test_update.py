@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knowpool.formula import parse
 from knowpool.kripke import Model, ModelError, dep_closure, pointed
@@ -11,6 +12,8 @@ from knowpool.presets import overlap, service_desk, service_desk_deontic
 from knowpool.semantics import extension
 from knowpool.update import (ShareStep, apply_sequence, resolve_update,
                              share_update)
+
+from oracles import reference_resolve_update, reference_share_update
 
 
 def draws(n, max_states=6):
@@ -195,3 +198,51 @@ class TestSequence:
         pm = pointed(service_desk())
         assert apply_sequence(pm, []) is pm
         assert apply_sequence(pm, [("a", "a")]) is pm
+
+
+_DEONTIC = GenConfig(max_states=5, agents=3, atoms=3, deontic=True, seed=11)
+
+
+def _content(m):
+    """Everything model equality compares, read by state name."""
+    return (frozenset(m.states), frozenset(m.agents), frozenset(m.atoms),
+            {a: frozenset(m.cells(a)) for a in m.agents}, m.val, m.ideal,
+            m.point)
+
+
+def _permuted(m, order):
+    """The same model with its states listed in another order."""
+    return Model([m.states[i] for i in order], m.agents, m.atoms, m.rel,
+                 m.val, ideal=m.ideal, point=m.point, validate=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 199), st.data())
+def test_updates_match_their_definitions(index, data):
+    m = gen_model(_DEONTIC, index)
+    agent = st.sampled_from(m.agents)
+    w = data.draw(st.sampled_from(m.states))
+    a, b = data.draw(agent), data.draw(agent)
+    group = data.draw(st.lists(agent, min_size=1, max_size=3, unique=True))
+    order = data.draw(st.permutations(range(len(m.states))))
+    for nxt, want in ((share_update(m, w, a, b),
+                       reference_share_update(m, w, a, b)),
+                      (resolve_update(m, group),
+                       reference_resolve_update(m, group))):
+        assert _content(nxt) == _content(want)
+        assert nxt == want and want == nxt and hash(nxt) == hash(want)
+        # a copy listing the states in another order is equal
+        twin = _permuted(nxt, order)
+        assert nxt == twin and twin == nxt and hash(nxt) == hash(twin)
+        # an update that changes the model is unequal to it
+        changed = _content(nxt) != _content(m)
+        assert (nxt != m) == (m != nxt) == changed
+        assert (nxt is m) == (not changed)
+    # equal models reached along different anchors are equal
+    first = share_update(m, w, a, b)
+    for v in m.states:
+        other = share_update(m, v, a, b)
+        same = _content(other) == _content(first)
+        assert (other == first) == (first == other) == same
+        if same:
+            assert hash(other) == hash(first)
