@@ -84,7 +84,7 @@ class _Frame:
     """What a model shares with every model updated from it: the state
     order, and the valuation and ideal relation as masks."""
 
-    __slots__ = ("index", "full", "val", "partners", "names", "hash", "rank")
+    __slots__ = ("index", "full", "val", "partners", "hash", "by_name")
 
     def __init__(self, states: tuple, val: dict, ideal):
         self.index = index = {s: i for i, s in enumerate(states)}
@@ -100,13 +100,10 @@ class _Frame:
             partners[u] |= 1 << v
             partners[v] |= 1 << u
         self.partners = tuple(partners)
-        # mask -> frozenset of state names, filled as masks are read
-        self.names = {}
         # set on first hash: the hash of the name-level content shared by
-        # every model of the frame, and the bit of each state in name order
-        # (None when the states already are in name order)
+        # every model of the frame, and the state indices in name order
         self.hash = None
-        self.rank = None
+        self.by_name = None
 
 
 class Model:
@@ -203,12 +200,8 @@ class Model:
     # -- names read off the masks
 
     def _names(self, mask: int) -> frozenset:
-        names = self._frame.names
-        out = names.get(mask)
-        if out is None:
-            states = self.states
-            out = names[mask] = frozenset([states[i] for i in _members(mask)])
-        return out
+        states = self.states
+        return frozenset([states[i] for i in _members(mask)])
 
     @property
     def rel(self) -> dict:
@@ -280,8 +273,6 @@ class Model:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Model):
             return NotImplemented
-        if self._frame is other._frame:  # one came from the other
-            return self._cells == other._cells and self.point == other.point
         if self.states == other.states:  # one state order: masks compare
             same_cells = self._cells == other._cells
         else:
@@ -300,21 +291,16 @@ class Model:
                                    frozenset(self.agents),
                                    frozenset(self.atoms),
                                    frozenset(self.val.items()), self.ideal))
-                order = sorted(range(len(self.states)),
-                               key=self.states.__getitem__)
-                if order != list(range(len(order))):
-                    rank = [0] * len(order)
-                    for r, i in enumerate(order):
-                        rank[i] = 1 << r
-                    frame.rank = tuple(rank)
-            cells = self._cells
-            if frame.rank is not None:  # masks in the order of the names
-                cells = {a: tuple(sorted((sum(frame.rank[i]
-                                              for i in _members(c))
-                                          for c in masks), key=_low))
-                         for a, masks in cells.items()}
-            self._hash = hash((frame.hash, self.point,
-                               frozenset(cells.items())))
+                frame.by_name = sorted(range(len(self.states)),
+                                       key=self.states.__getitem__)
+            # each agent's partition as the cell numbers of the states taken
+            # in name order, cells numbered as they are first met
+            cells = []
+            for a, at in self._cell_at.items():
+                number = {}
+                cells.append((a, tuple([number.setdefault(at[i], len(number))
+                                        for i in frame.by_name])))
+            self._hash = hash((frame.hash, self.point, frozenset(cells)))
         return self._hash
 
     def __repr__(self) -> str:

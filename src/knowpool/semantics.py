@@ -34,7 +34,11 @@ class EvalError(ValueError):
 
 class EvalContext:
     """Shared memo across evaluations.  With debug=True every cache hit is
-    re-derived and compared, trading speed for a self-check."""
+    re-derived and compared, trading speed for a self-check.
+
+    Equal models may list their states in different orders, and a memo
+    entry's masks mean something only in one order, so every key holds
+    the model's state order beside the model."""
 
     def __init__(self, debug: bool = False):
         self.debug = debug
@@ -45,7 +49,7 @@ class EvalContext:
     def updated(self, m: Model, w: str, sender: str, receiver: str) -> Model:
         # the update depends on the state only through (cell, closure)
         i = m._frame.index[w]
-        key = (m, sender, receiver, m._cell_at[receiver][i],
+        key = (m, m.states, sender, receiver, m._cell_at[receiver][i],
                m._closure_at(sender)[i])
         out = self._upd.get(key)
         if out is None:
@@ -57,7 +61,7 @@ class EvalContext:
         return out
 
     def resolved(self, m: Model, group: tuple) -> Model:
-        key = (m, frozenset(group))
+        key = (m, m.states, frozenset(group))
         out = self._res.get(key)
         if out is None:
             out = resolve_update(m, group)
@@ -78,7 +82,7 @@ def extension(m: Model, f: Formula, ctx: EvalContext | None = None) -> frozenset
 
 def _ext(m: Model, f: Formula, ctx: EvalContext) -> int:
     """The states where `f` holds, as a mask of `m`'s states."""
-    key = (m, f)
+    key = (m, m.states, f)
     hit = ctx._ext.get(key)
     if hit is not None:
         if ctx.debug:

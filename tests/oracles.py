@@ -109,6 +109,12 @@ def _with_relations(m, new):
                  point=m.point, validate=False)
 
 
+def permuted(m, order):
+    """The same model with its states listed in another order."""
+    return Model([m.states[i] for i in order], m.agents, m.atoms, m.rel,
+                 m.val, ideal=m.ideal, point=m.point, validate=False)
+
+
 def isomorphic(m1, m2) -> bool:
     """Exhaustive bijection search deciding model isomorphism."""
     if (len(m1.states) != len(m2.states) or m1.agents != m2.agents

@@ -19,7 +19,7 @@ from knowpool.semantics import (CheckResult, EvalContext, EvalError, check,
                                 extension, global_truth)
 from knowpool.update import share_update
 
-from oracles import reference_extension
+from oracles import permuted, reference_extension
 
 
 # table entries whose recorded verdict the evaluator provably contradicts;
@@ -176,6 +176,23 @@ class TestContext:
             f = parse(text)
             assert extension(m, f, shared) == extension(m, f, debug) \
                 == extension(m, f)
+
+    @pytest.mark.parametrize("text", [
+        "p & ~q", "K{c|a}q", "[a>c]K{c}(p->q)", "Ri{a,b}K{a}q",
+        "[b>c]Ri{a,c}K{c}(p|r)", "Rk{a,b,c}[a>b]K{b}r"])
+    def test_shared_memo_keeps_each_state_order(self, text):
+        # a copy listing the states in another order equals the model, but
+        # the memo's masks are read in one state order only
+        m = service_desk()
+        f = parse(text)
+        want = extension(m, f)
+        ctx = EvalContext()
+        for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 4, 1, 3),
+                      (0, 1, 2, 3, 4)):
+            twin = permuted(m, order)
+            assert twin == m and hash(twin) == hash(m)
+            assert extension(twin, f, ctx) == want
+            assert check(pointed(twin, "s3"), f, ctx).value == ("s3" in want)
 
     @pytest.mark.parametrize("memo, text, again", [
         ("_upd", "[a>c]K{c}(p->q)",

@@ -13,7 +13,8 @@ from knowpool.semantics import extension
 from knowpool.update import (ShareStep, apply_sequence, resolve_update,
                              share_update)
 
-from oracles import reference_resolve_update, reference_share_update
+from oracles import (permuted, reference_resolve_update,
+                     reference_share_update)
 
 
 def draws(n, max_states=6):
@@ -210,12 +211,6 @@ def _content(m):
             m.point)
 
 
-def _permuted(m, order):
-    """The same model with its states listed in another order."""
-    return Model([m.states[i] for i in order], m.agents, m.atoms, m.rel,
-                 m.val, ideal=m.ideal, point=m.point, validate=False)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 199), st.data())
 def test_updates_match_their_definitions(index, data):
@@ -232,7 +227,7 @@ def test_updates_match_their_definitions(index, data):
         assert _content(nxt) == _content(want)
         assert nxt == want and want == nxt and hash(nxt) == hash(want)
         # a copy listing the states in another order is equal
-        twin = _permuted(nxt, order)
+        twin = permuted(nxt, order)
         assert nxt == twin and twin == nxt and hash(nxt) == hash(twin)
         # an update that changes the model is unequal to it
         changed = _content(nxt) != _content(m)
