@@ -7,12 +7,14 @@ agent relations) and a designated evaluation point.
 
 Inside, a set of states is an int mask whose bit i stands for the i-th
 state of `m.states`, the explicit-state bitset representation of epistemic
-model checkers.  A model holds each agent's cells as masks and the cell of
-every state, each atom's valuation mask and each state's ideal partners;
-the definability blocks and the dependence closures are derived from these
-on first use.  An updated model (`replace_relations`) shares the state
-order, valuation and ideal masks of the model it came from.  The public
-functions read state names off the masks.
+model checkers.  A model holds each agent's partition once, as the cell
+mask of every state listed by state index (the cells in first-state order
+are the distinct entries of that array), and each atom's valuation mask
+and each state's ideal partners; the definability blocks and the
+dependence closures are derived from these on first use.  An updated model
+(`replace_relations`) shares the state order, valuation and ideal masks of
+the model it came from.  The public functions read state names off the
+masks.
 
 `atoms_partition` computes the modal-equivalence blocks of the static
 language by partition refinement against the valuation and every agent's
@@ -57,7 +59,7 @@ class Partition:
 
 
 def _low(mask: int) -> int:
-    """The lowest set bit: cells sort by it, i.e. by their first state."""
+    """The lowest set bit, i.e. the first state of the mask."""
     return mask & -mask
 
 
@@ -71,22 +73,23 @@ def _members(mask: int) -> list:
     return out
 
 
-def _cell_array(cells: tuple, n: int) -> tuple:
-    """The cell of each state, by state index."""
-    at = [0] * n
-    for c in cells:
-        for i in _members(c):
-            at[i] = c
-    return tuple(at)
+def _meet(arrays: list) -> tuple:
+    """The state-wise meet of per-state mask arrays (cells or closures)."""
+    out = arrays[0]
+    for more in arrays[1:]:
+        out = tuple(map(int.__and__, out, more))
+    return out
 
 
 class _Frame:
     """What a model shares with every model updated from it: the state
-    order, and the valuation and ideal relation as masks."""
+    order, the valuation and ideal relation as masks, the hash of the
+    name-level content, and the state indices in name order."""
 
     __slots__ = ("index", "full", "val", "partners", "hash", "by_name")
 
-    def __init__(self, states: tuple, val: dict, ideal):
+    def __init__(self, states: tuple, agents: tuple, atoms: tuple,
+                 val: dict, ideal):
         self.index = index = {s: i for i, s in enumerate(states)}
         self.full = (1 << len(states)) - 1
         self.val = masks = {}
@@ -100,17 +103,16 @@ class _Frame:
             partners[u] |= 1 << v
             partners[v] |= 1 << u
         self.partners = tuple(partners)
-        # set on first hash: the hash of the name-level content shared by
-        # every model of the frame, and the state indices in name order
-        self.hash = None
-        self.by_name = None
+        self.hash = hash((frozenset(states), frozenset(agents),
+                          frozenset(atoms), frozenset(val.items()), ideal))
+        self.by_name = sorted(range(len(states)), key=states.__getitem__)
 
 
 class Model:
     """Immutable by convention: operations return fresh models."""
 
     __slots__ = ("states", "agents", "atoms", "val", "ideal", "point",
-                 "_frame", "_cells", "_cell_at", "_blocks", "_closure",
+                 "_frame", "_cell_at", "_blocks", "_closure",
                  "_hash", "__weakref__")
 
     def __init__(self, states: Iterable, agents: Iterable, atoms: Iterable,
@@ -127,22 +129,20 @@ class Model:
         self.point = point
         if validate:
             self._validate(rel, val)
-        self._frame = _Frame(states, self.val, self.ideal)
+        self._frame = _Frame(states, self.agents, self.atoms, self.val,
+                             self.ideal)
         index = self._frame.index
-        masks = {a: sorted((sum(1 << index[s] for s in c) for c in cells),
-                           key=_low)
-                 for a, cells in rel.items()}
+        self._cell_at = {}
+        for a, cells in rel.items():
+            at = [0] * len(states)
+            for c in cells:
+                mask = sum(1 << index[s] for s in c)
+                for s in c:
+                    at[index[s]] = mask
+            self._cell_at[a] = tuple(at)
         for a in self.agents:
-            if a not in masks:
-                masks[a] = [1 << i for i in range(len(states))]
-        self._cells, self._cell_at = {}, {}
-        self._set_cells(masks)
-
-    def _set_cells(self, cells: Mapping) -> None:
-        # cells: agent -> cell masks ordered by their first state
-        for a, masks in cells.items():
-            self._cells[a] = masks = tuple(masks)
-            self._cell_at[a] = _cell_array(masks, len(self.states))
+            if a not in self._cell_at:  # no relation: every state apart
+                self._cell_at[a] = tuple(1 << i for i in range(len(states)))
         self._blocks = self._closure = self._hash = None
 
     def _validate(self, rel: dict, val: Mapping) -> None:
@@ -206,14 +206,14 @@ class Model:
     @property
     def rel(self) -> dict:
         """Each agent's cells, as `cells` gives them."""
-        return {a: self.cells(a) for a in self._cells}
+        return {a: self.cells(a) for a in self._cell_at}
 
     def cell(self, agent: str, state: str) -> frozenset:
         return self._names(self._cell_at[agent][self._frame.index[state]])
 
     def cells(self, agent: str) -> tuple:
         """The agent's cells, ordered by their first state."""
-        return tuple(map(self._names, self._cells[agent]))
+        return tuple(map(self._names, dict.fromkeys(self._cell_at[agent])))
 
     def ideal_partners(self, state: str) -> frozenset:
         """O[state]: the states ideally related to this one."""
@@ -241,31 +241,26 @@ class Model:
             of_color[c] = of_color.get(c, 0) | 1 << i
         block_at = [of_color[c] for c in color]
         closure = {}
-        for a, cells in self._cells.items():
-            at = [0] * len(color)
-            for cell in cells:
-                states = _members(cell)
-                cl = 0
-                for i in states:
-                    cl |= block_at[i]
-                for i in states:
-                    at[i] = cl
-            closure[a] = tuple(at)
+        for a, at in self._cell_at.items():
+            cl = {}  # each cell's closure: the blocks of its states
+            for cell, block in zip(at, block_at):
+                cl[cell] = cl.get(cell, 0) | block
+            closure[a] = tuple([cl[cell] for cell in at])
         self._blocks = tuple(of_color.values())
         self._closure = closure
 
     def replace_relations(self, cells: Mapping) -> "Model":
         """Fresh model with some agents' cells swapped out.
 
-        `cells` maps an agent to its new cells as state masks ordered by
-        their first state.  Everything else is shared with this model and
-        not validated again."""
+        `cells` maps an agent to its new partition as a tuple of the cell
+        mask of each state, by state index.  Everything else is shared with
+        this model and not validated again."""
         new = object.__new__(Model)
         new.states, new.agents, new.atoms = self.states, self.agents, self.atoms
         new.val, new.ideal, new.point = self.val, self.ideal, self.point
         new._frame = self._frame
-        new._cells, new._cell_at = dict(self._cells), dict(self._cell_at)
-        new._set_cells(cells)
+        new._cell_at = {**self._cell_at, **cells}
+        new._blocks = new._closure = new._hash = None
         return new
 
     # -- equality by content: states, agents and atoms as sets
@@ -274,10 +269,10 @@ class Model:
         if not isinstance(other, Model):
             return NotImplemented
         if self.states == other.states:  # one state order: masks compare
-            same_cells = self._cells == other._cells
+            same_cells = self._cell_at == other._cell_at
         else:
             same_cells = set(self.states) == set(other.states) and \
-                _named_cells(self) == _named_cells(other)
+                self._partitions() == other._partitions()
         return (same_cells and self.point == other.point
                 and self.val == other.val and self.ideal == other.ideal
                 and set(self.agents) == set(other.agents)
@@ -285,31 +280,24 @@ class Model:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            frame = self._frame
-            if frame.hash is None:
-                frame.hash = hash((frozenset(self.states),
-                                   frozenset(self.agents),
-                                   frozenset(self.atoms),
-                                   frozenset(self.val.items()), self.ideal))
-                frame.by_name = sorted(range(len(self.states)),
-                                       key=self.states.__getitem__)
-            # each agent's partition as the cell numbers of the states taken
-            # in name order, cells numbered as they are first met
-            cells = []
-            for a, at in self._cell_at.items():
-                number = {}
-                cells.append((a, tuple([number.setdefault(at[i], len(number))
-                                        for i in frame.by_name])))
-            self._hash = hash((frame.hash, self.point, frozenset(cells)))
+            self._hash = hash((self._frame.hash, self.point,
+                               frozenset(self._partitions().items())))
         return self._hash
+
+    def _partitions(self) -> dict:
+        """Each agent's partition as the cell numbers of the states taken
+        in name order, cells numbered as they are first met: the same for
+        equal partitions whatever order the states are listed in."""
+        out = {}
+        for a, at in self._cell_at.items():
+            number = {}
+            out[a] = tuple([number.setdefault(at[i], len(number))
+                            for i in self._frame.by_name])
+        return out
 
     def __repr__(self) -> str:
         return "Model(states=%r, agents=%r, point=%r)" % (
             list(self.states), list(self.agents), self.point)
-
-
-def _named_cells(m: Model) -> dict:
-    return {a: frozenset(cells) for a, cells in m.rel.items()}
 
 
 @dataclass(frozen=True)
@@ -344,7 +332,8 @@ def _refine(m: Model, color: list, ideal: bool = False) -> list:
     """Split colour classes by the colours each agent's cell meets (and,
     if `ideal`, the colours of the ideal partners) until none splits.
     Colours are listed by state index."""
-    groups = [_members(c) for a in sorted(m.agents) for c in m._cells[a]]
+    groups = [_members(c) for a in sorted(m.agents)
+              for c in dict.fromkeys(m._cell_at[a])]
     if ideal:
         partners = [_members(p) for p in m._frame.partners]
     while True:
@@ -382,8 +371,9 @@ def dep_partition(m: Model, agent: str, state: str) -> Partition:
     """The dependence relation at `state` as a partition: cl_a(w) is one
     class, and every block outside it stays its own class."""
     cl = m._closure_at(agent)[m._frame.index[state]]
-    pieces = [cl] + [b for b in m._block_masks() if not b & cl]
-    return Partition(tuple(map(m._names, sorted(pieces, key=_low))))
+    # cl is a union of blocks, so it takes the place of its first block
+    pieces = dict.fromkeys(cl if b & cl else b for b in m._block_masks())
+    return Partition(tuple(map(m._names, pieces)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,32 +497,26 @@ def save(m: Model) -> bytes:
     Relation pair lists are written as the full closure (loops included),
     so the output also loads in strict mode.
     """
-    order = m._frame.index
-    relations = {}
-    for a in m.agents:
-        pairs = [[u, v] for c in m.cells(a)
-                 for u in sorted(c, key=order.get)
-                 for v in sorted(c, key=order.get)]
-        pairs.sort(key=lambda p: (order[p[0]], order[p[1]]))
-        relations[a] = pairs
+    states = m.states
+
+    def pairs(masks, once=False):
+        # each state in order with every state of its mask, in order; with
+        # `once`, only those not before it, so a symmetric pair comes once
+        return [[states[i], states[j]] for i, mask in enumerate(masks)
+                for j in _members(mask) if j >= i or not once]
+
     data = {
-        "states": list(m.states),
+        "states": list(states),
         "agents": list(m.agents),
         "atoms": list(m.atoms),
-        "relations": relations,
-        "valuation": {s: sorted(m.val[s]) for s in m.states},
+        "relations": {a: pairs(m._cell_at[a]) for a in m.agents},
+        "valuation": {s: sorted(m.val[s]) for s in states},
     }
     if m.ideal is not None:
-        pairs = []
-        for pair in m.ideal:
-            two = sorted(pair, key=order.get)
-            pairs.append([two[0], two[-1]])
-        data["ideal"] = sorted(pairs, key=lambda p: (order[p[0]], order[p[1]]))
+        data["ideal"] = pairs(m._frame.partners, once=True)
     if m.point is not None:
         data["point"] = m.point
     return (json.dumps(data, indent=2) + "\n").encode("utf-8")
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +550,7 @@ def _canonical_bytes(m: Model, point: int, color: list) -> bytes:
         "atoms": {p: sorted(rank[i] for i in _members(m._frame.val.get(p, 0)))
                   for p in sorted(m.atoms)},
         "agents": {a: sorted(sorted(rank[i] for i in _members(c))
-                             for c in m._cells[a])
+                             for c in dict.fromkeys(m._cell_at[a]))
                    for a in sorted(m.agents)},
         "ideal": None if m.ideal is None else
                  sorted(sorted(rank[index[s]] for s in pair)

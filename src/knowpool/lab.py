@@ -413,25 +413,27 @@ class Lab:
 
 
 def _cl_cases(m: Model, ctx: EvalContext):
-    """Dependent knowledge always has a definable witness.
+    """Dependent knowledge is knowledge inside the dependence closure.
 
-    Whenever A knows PHI dependent on B at w, the dependence closure of B
-    at w is a union of blocks covering B's cell whose meet with A's cell
-    sits inside PHI; it realises the existential witness in one shot.
+    A knows PHI dependent on B at w exactly when A's cell of w, met with
+    the union of the definability blocks that meet B's cell of w, lies
+    inside PHI; and that union is the dependence closure of B at w.  A
+    case checks both for one agent pair, state and PHI.
     """
     _, general = _pools(m)
     blocks = atoms_partition(m)
+    exts = [extension(m, phi, ctx) for phi in general]
     for x, y in itertools.permutations(m.agents, 2):
+        boxes = [K(x, phi, (y,)) for phi in general]
+        knows = [extension(m, box, ctx) for box in boxes]
         for w in m.states:
-            cl = dep_closure(m, y, w)
-            reach = m.cell(x, w) & cl
-            for phi in general:
-                ext = extension(m, phi, ctx)
-                witness_ok = not reach <= ext or (
-                    m.cell(y, w) <= cl
-                    and all(blocks.block_of(s) <= cl for s in cl)
-                    and (m.cell(x, w) & cl) <= ext)
-                yield None if witness_ok else (K(x, phi, (y,)), w)
+            cell = m.cell(y, w)
+            union = frozenset().union(*[b for b in blocks if b & cell])
+            closed = union == dep_closure(m, y, w)
+            reach = m.cell(x, w) & union
+            for box, ext, known in zip(boxes, exts, knows):
+                holds = closed and (w in known) == (reach <= ext)
+                yield None if holds else (box, w)
 
 
 def _int_plus_cases(m: Model, ctx: EvalContext):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .formula import (_AGENT, And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp,
                       K, MetaFormula, Not, OkAtom, Or, ResolveInfo, Share, Top,
                       _agent_fields, expand)
-from .kripke import Model, PointedModel, _low, save
+from .kripke import Model, PointedModel, _low, _meet, save
 # unused here; bench/layers.py traces `semantics.dep_closure` by name
 from .kripke import dep_closure  # noqa: F401
 from .update import resolve_update, share_update
@@ -99,7 +99,7 @@ def _compute(m: Model, f: Formula, ctx: EvalContext) -> int:
     for name, role, _ in _agent_fields(cls):
         names = getattr(f, name)
         for a in (names,) if role is _AGENT else names:
-            if a not in m._cells:
+            if a not in m._cell_at:
                 raise EvalError("unknown agent %r" % (a,))
     rule = _RULES.get(cls)
     if rule is None:
@@ -179,14 +179,9 @@ def _reach(m: Model, f: K | D) -> tuple:
     the agent's cell met with each dependency's closure, or the meet of
     the group's cells."""
     if type(f) is K:
-        reach = m._cell_at[f.agent]
-        for d in f.deps:
-            reach = tuple(map(int.__and__, reach, m._closure_at(d)))
-        return reach
-    reach = m._cell_at[f.group[0]]
-    for a in f.group[1:]:
-        reach = tuple(map(int.__and__, reach, m._cell_at[a]))
-    return reach
+        return _meet([m._cell_at[f.agent]]
+                     + [m._closure_at(d) for d in f.deps])
+    return _meet([m._cell_at[a] for a in f.group])
 
 
 def _need_ideal(m: Model, what: str) -> None:

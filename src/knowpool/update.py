@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .kripke import Model, ModelError, PointedModel, _low
+from .kripke import Model, ModelError, PointedModel, _meet, _members
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ShareStep:
 
 
 def _check_agent(m: Model, a: str) -> None:
-    if a not in m._cells:
+    if a not in m._cell_at:
         raise ModelError("unknown agent %r" % (a,))
 
 
@@ -49,11 +49,12 @@ def share_update(m: Model, w: str, a: str, b: str) -> Model:
     outside = target & ~m._closure_at(a)[i]
     if not outside:
         return m
-    pieces = [outside & block for block in m._block_masks() if outside & block]
-    cells = [c for c in m._cells[b] if c != target]
-    cells += pieces
-    cells.append(target ^ outside)
-    return m.replace_relations({b: sorted(cells, key=_low)})
+    pieces = [outside & block for block in m._block_masks()]
+    at = list(m._cell_at[b])
+    for piece in pieces + [target ^ outside]:
+        for j in _members(piece):
+            at[j] = piece
+    return m.replace_relations({b: tuple(at)})
 
 
 def resolve_update(m: Model, group: Iterable) -> Model:
@@ -63,15 +64,10 @@ def resolve_update(m: Model, group: Iterable) -> Model:
         raise ModelError("resolution needs a non-empty group")
     for g in members:
         _check_agent(m, g)
-    meet = m._cell_at[members[0]]
-    for g in members[1:]:
-        meet = tuple(map(int.__and__, meet, m._cell_at[g]))
-    # each cell first appears at its first state
-    cells = tuple(dict.fromkeys(meet))
-    first = m._cells[members[0]]
-    if cells == first and all(m._cells[g] == first for g in members):
+    meet = _meet([m._cell_at[g] for g in members])
+    if all(m._cell_at[g] == meet for g in members):
         return m
-    return m.replace_relations({g: cells for g in members})
+    return m.replace_relations({g: meet for g in members})
 
 
 def apply_sequence(pm: PointedModel, steps: Iterable) -> PointedModel:

@@ -10,10 +10,11 @@ from knowpool.kripke import (Model, ModelError, PointedModel,
                              atoms_partition, dep_closure, dep_partition,
                              fingerprint, load, pointed, save)
 from knowpool.lab import enumerate_models, gen_model, GenConfig
+from knowpool.update import share_update
 from knowpool.presets import (PRESETS, overlap, service_desk,
                               service_desk_deontic)
 
-from oracles import equiv_classes, isomorphic, naive_blocks
+from oracles import equiv_classes, isomorphic, naive_blocks, permuted
 
 
 def tiny(rel_a=({"u", "v"},), ideal=None, point=None):
@@ -65,6 +66,32 @@ class TestValidation:
         assert tiny() == tiny()
         assert tiny() != tiny(rel_a=({"u"}, {"v"}))
         assert hash(tiny()) == hash(tiny())
+        m = service_desk()
+        same = (
+            # agents and atoms listed in another order
+            Model(m.states, m.agents[::-1], m.atoms[::-1], m.rel, m.val,
+                  point=m.point),
+            Model(m.states, m.agents, m.atoms[::-1], m.rel, m.val,
+                  point=m.point),
+        )
+        for other in same:
+            assert other == m and hash(other) == hash(m)
+        val = dict(m.val)
+        val["s1"] = m.val["s1"] ^ {"p"}
+        for other in (
+                Model(m.states, m.agents, m.atoms, m.rel, m.val, point="s1"),
+                Model(m.states, m.agents, m.atoms, m.rel, val,
+                      point=m.point)):
+            assert other != m
+        # a copy of a share-updated model listing its states in another
+        # order
+        after = share_update(m, "s0", "a", "c")
+        assert after != m
+        for order in ([4, 3, 2, 1, 0], [1, 0, 3, 2, 4], [2, 4, 0, 1, 3]):
+            twin = permuted(after, order)
+            assert twin.states != after.states
+            assert twin == after and hash(twin) == hash(after)
+            assert twin != m
 
 
 class TestPointed:
@@ -138,6 +165,44 @@ class TestSerialization:
             load(b"{nope")
         with pytest.raises(ModelError):
             load(b"[1, 2]")
+
+    @staticmethod
+    def shuffled():
+        # states out of name order, cells given out of state order, a
+        # three-state cell, an ideal loop and a two-state ideal pair
+        return Model(("w2", "w0", "w3", "w1"), ("a", "b"), ("p", "q"),
+                     {"a": ({"w1"}, {"w3", "w0", "w2"}),
+                      "b": ({"w1", "w3"}, {"w0"}, {"w2"})},
+                     {"w2": {"p"}, "w3": {"p", "q"}, "w1": {"q"}},
+                     ideal=(("w1", "w1"), ("w3", "w0")), point="w0")
+
+    def test_cells_come_in_state_order(self):
+        m = self.shuffled()
+        assert m.cells("a") == ({"w2", "w0", "w3"}, {"w1"})
+        assert m.cells("b") == ({"w2"}, {"w0"}, {"w3", "w1"})
+        after = share_update(m, "w0", "b", "a")
+        assert after.cells("a") == ({"w2"}, {"w0"}, {"w3"}, {"w1"})
+
+    # sha256 of `save` output, recorded before each partition was stored
+    # as one per-state cell array
+    SAVED = {
+        "shuffled":
+            "7063ba177453e1c2483d29c805311410767216b7e6ac5e1b61db677be6960152",
+        "shared":
+            "5e020d013ebc55cb6fae8d873a83ee813e65ab537858bbca0394720243d9ae8f",
+    }
+
+    def test_save_bytes_are_pinned(self):
+        m = self.shuffled()
+        data = save(m)
+        assert json.loads(data)["relations"]["b"] == [
+            ["w2", "w2"], ["w0", "w0"], ["w3", "w3"], ["w3", "w1"],
+            ["w1", "w3"], ["w1", "w1"]]
+        assert json.loads(data)["ideal"] == [["w0", "w3"], ["w1", "w1"]]
+        shared = save(share_update(m, "w0", "b", "a"))
+        got = {"shuffled": data, "shared": shared}
+        assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} \
+            == self.SAVED
 
 
 class TestBlocks:

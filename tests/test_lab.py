@@ -4,13 +4,13 @@ import gc
 
 import pytest
 
-from knowpool import formula, lab
-from knowpool.formula import (OkAtom, Schema, _walk, expand, instantiate,
+from knowpool import formula, lab, semantics
+from knowpool.formula import (K, OkAtom, Schema, _walk, expand, instantiate,
                               meta_formulas_of, parse, print_formula)
 from knowpool.kripke import Model, PointedModel
 from knowpool.lab import (DEFAULT_CONFIG, GOLDEN_FACTS, REQUIRED_INVALID,
                           REQUIRED_VALID, REPORT_ONLY, RULES, SCHEMAS,
-                          GenConfig, check_fact, check_schema,
+                          GenConfig, Lab, check_fact, check_schema,
                           compare_readings, enumerate_models, gen_model,
                           run_reference_suite, _pool_for,
                           _possibility_reading)
@@ -44,6 +44,19 @@ class TestSchemaChecks:
 
     def test_definable_collapse_holds(self):
         assert check_schema("cl", CFG).as_expected
+
+    def test_definable_collapse_catches_a_full_closure(self, monkeypatch):
+        # a closure that ignores the blocks: dep_closure and K's deps see
+        # every state
+        monkeypatch.setattr(Model, "_closure_at", lambda m, agent:
+                            ((1 << len(m.states)) - 1,) * len(m.states))
+        assert Lab(CFG).check("cl").verdict == "countermodel"
+
+    def test_definable_collapse_catches_ignored_deps(self, monkeypatch):
+        reach = semantics._reach
+        monkeypatch.setattr(semantics, "_reach", lambda m, f: reach(
+            m, K(f.agent, f.body) if type(f) is K else f))
+        assert Lab(CFG).check("cl").verdict == "countermodel"
 
     def test_update_commutation_fails(self):
         # pushing a share through an outside knower breaks on re-anchoring
