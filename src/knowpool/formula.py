@@ -401,48 +401,30 @@ def _nests_deeper(f: Formula, levels: int) -> bool:
 # tokenizer
 
 
-# A token is a plain tuple (kind, text, line, column), cheap to build.
-_KIND, _TEXT = 0, 1
+# The words of the concrete syntax: the two arrows, ASCII identifiers, and
+# every other single character but the skipped space, tab, carriage return
+# and newline.  A scan keeps only the words; `_position` scans again for the
+# line and column of a word when an error reports it.
+_WORD_RE = re.compile(r"<->|->|[a-zA-Z][a-zA-Z0-9_]*|[^ \t\r\n]")
+
+# the arrow and punctuation words; any other word is an identifier or an
+# error, and the empty word ends the input
+_SYMBOLS = frozenset(["<->", "->", "(", ")", "{", "}", "[", "]", ",", ";",
+                      "&", "|", "~", ">"])
 
 
-_PUNCT = {
-    "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
-    "[": "LBRACK", "]": "RBRACK", ",": "COMMA", ";": "SEMI",
-    "&": "AND", "|": "BAR", "~": "NOT", ">": "GT",
-}
-
-
-# One alternative per kind of text.  Names are ASCII, and the catch-all
-# comes last, so every other character is read as punctuation or reported
-# with its position: `finditer` would skip text that nothing matches.
-_SCAN_RE = re.compile(r"(?P<NEWLINE>\n)|[ \t\r]+|(?P<DARROW><->)|(?P<ARROW>->)"
-                      r"|(?P<IDENT>[a-zA-Z][a-zA-Z0-9_]*)|(?P<CHAR>.)",
-                      re.DOTALL)
-
-
-def _tokenize(text: str) -> list:
-    toks = []
-    line, start = 1, 0  # start: offset of the line's first character
-    for m in _SCAN_RE.finditer(text):
-        kind, tok, col = m.lastgroup, m.group(), m.start() - start + 1
-        if kind == "NEWLINE":
-            line, start = line + 1, m.end()
-        elif kind == "CHAR":
-            if tok not in _PUNCT:
-                raise ParseError("stray %r" % tok if tok in "-<"
-                                 else "unexpected character %r" % tok,
-                                 line, col)
-            toks.append((_PUNCT[tok], tok, line, col))
-        elif kind is not None:  # None: spaces
-            toks.append((kind, tok, line, col))
-    toks.append(("EOF", "", line, len(text) - start + 1))
-    return toks
+def _position(text: str, k: int) -> tuple:
+    """(line, column) of the k-th word of `text`, or of its end if `text`
+    has only k words."""
+    word = next(itertools.islice(_WORD_RE.finditer(text), k, None), None)
+    at = len(text) if word is None else word.start()
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 # ---------------------------------------------------------------------------
 # concrete syntax: the one place that says how each operator is written
 
-# binary connectives, loosest first: (token, node class, right associative)
+# binary connectives, loosest first: (word, node class, right associative)
 _BINARY = (("<->", Iff, False), ("->", Imp, True), ("|", Or, False),
            ("&", And, False))
 
@@ -465,27 +447,27 @@ _OPTIONAL = "optional"
 
 
 def _program(cls: type, head: str) -> tuple:
-    """The head as (token kind, text, field role) steps.  An agent field's
-    text is its field name; a literal token has no role."""
+    """The head as (word, field role) steps.  An agent field's word is its
+    field name; a literal word has no role."""
     roles = dict(_layout(cls))
     defaults = {name for name, _, default in _agent_fields(cls) if default}
-    toks = _tokenize(head)
+    words = _WORD_RE.findall(head)
     steps = []
-    for (kind, text, _, _), after in zip(toks, toks[1:]):  # then EOF
-        role = roles.get(text)
-        if role is None and after[_TEXT] in defaults:
+    for word, after in zip(words, words[1:] + [""]):
+        role = roles.get(word)
+        if role is None and after in defaults:
             role = _OPTIONAL
-        steps.append((kind, text, role))
+        steps.append((word, role))
     return tuple(steps)
 
 
 # node class -> (head program, whether a body follows)
 _SYNTAX = {cls: (_program(cls, head), "body" in dict(_layout(cls)))
            for cls, head in _HEADS}
-# text of a head's first token -> the node classes whose head it starts
+# a head's first word -> the node classes whose head it starts
 _STARTS = {}
 for _cls, (_steps, _) in _SYNTAX.items():
-    _STARTS.setdefault(_steps[0][1], []).append(_cls)
+    _STARTS.setdefault(_steps[0][0], []).append(_cls)
 _KEYWORDS = frozenset(word for word in _STARTS if word[0].isalpha())
 # binding strength: a binary node's position in _BINARY from 1, then heads
 _LEVEL = {cls: level for level, (_, cls, _) in enumerate(_BINARY, 1)}
@@ -503,54 +485,57 @@ _PREFIX = len(_BINARY) + 1
 MAX_DEPTH = 64
 
 
-def _too_deep(tok: tuple) -> ParseError:
-    return ParseError("formula nests deeper than %d levels" % MAX_DEPTH,
-                      *tok[2:])
+_TOO_DEEP = "formula nests deeper than %d levels" % MAX_DEPTH
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.words = words = _WORD_RE.findall(text)
+        # a word that is neither a symbol nor an identifier is an error
+        # before parsing starts: identifiers are ASCII and start with a letter
+        bad = [w for w in set(words).difference(_SYMBOLS)
+               if not (w.isascii() and w[0].isalpha())]
+        if bad:
+            k = min(map(words.index, bad))
+            raise self.error(("stray %r" if words[k] in "-<"
+                              else "unexpected character %r") % words[k], k)
+        words.append("")
         self.pos = 0
         self.depth = 0
 
+    def error(self, message: str, k: int) -> ParseError:
+        """The error at the k-th word."""
+        return ParseError(message, *_position(self.text, k))
+
     def run(self) -> Formula:
         f = self.binary(0)
-        self.expect("EOF", "end of input")
-        # every node takes at least one token, so short input is shallow
-        if len(self.toks) > MAX_DEPTH and _nests_deeper(f, MAX_DEPTH):
-            raise _too_deep(self.toks[0])
+        self.expect("", "end of input")
+        # every node takes at least one word, so short input is shallow
+        if len(self.words) > MAX_DEPTH and _nests_deeper(f, MAX_DEPTH):
+            raise self.error(_TOO_DEEP, 0)
         return f
 
     def enter(self) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise _too_deep(self.peek())
+            raise self.error(_TOO_DEEP, self.pos)
 
-    def peek(self) -> tuple:
-        return self.toks[self.pos]
-
-    def advance(self) -> tuple:
-        tok = self.toks[self.pos]
+    def expect(self, word: str, what: str) -> None:
+        found = self.words[self.pos]
+        if found != word:
+            raise self.error("expected %s, found %r"
+                             % (what, found or "end of input"), self.pos)
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple:
-        tok = self.peek()
-        if tok[_KIND] != kind:
-            found = tok[_TEXT] if tok[_KIND] != "EOF" else "end of input"
-            raise ParseError("expected %s, found %r" % (what, found),
-                             *tok[2:])
-        return self.advance()
 
     def binary(self, level: int) -> Formula:
         """Parse the connectives of `_BINARY[level:]`."""
         if level == len(_BINARY):
             return self.unary()
-        token, cls, right = _BINARY[level]
+        word, cls, right = _BINARY[level]
         f = self.binary(level + 1)
-        while self.peek()[_TEXT] == token:
-            self.advance()
+        while self.words[self.pos] == word:
+            self.pos += 1
             if right:
                 self.enter()
                 f = cls(f, self.binary(level))
@@ -561,7 +546,7 @@ class _Parser:
 
     def unary(self) -> Formula:
         self.enter()
-        heads = _STARTS.get(self.peek()[_TEXT])
+        heads = _STARTS.get(self.words[self.pos])
         f = self.primary() if heads is None else self.node(heads)
         self.depth -= 1
         return f
@@ -588,45 +573,51 @@ class _Parser:
         """Read a head; return its agent fields by name."""
         args = {}
         steps = iter(program)
-        for kind, text, role in steps:
+        for word, role in steps:
             if role is _AGENT:
-                args[text] = self.agent()
+                args[word] = self.agent()
             elif role is _AGENTS:
-                args[text] = self.agent_list()
-            elif self.peek()[_KIND] == kind:
-                self.advance()
+                args[word] = self.agent_list()
+            elif self.words[self.pos] == word:
+                self.pos += 1
             elif role is _OPTIONAL:
                 next(steps)  # the field keeps its default
             else:
-                self.expect(kind, "'%s'" % text)  # raises
+                self.expect(word, "'%s'" % word)  # raises
         return args
 
     def primary(self) -> Formula:
-        kind, text, line, col = self.advance()
-        if kind == "LPAREN":
+        word = self.words[self.pos]
+        if word == "(":
+            self.pos += 1
             f = self.binary(0)
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return f
-        if kind == "IDENT":
-            if text[0].islower():
-                return Atom(text)
-            return MetaFormula(text)
-        found = text if kind != "EOF" else "end of input"
-        raise ParseError("expected a formula, found %r" % found, line, col)
+        if word and word not in _SYMBOLS:
+            self.pos += 1
+            if word[0].islower():
+                return Atom(word)
+            return MetaFormula(word)
+        raise self.error("expected a formula, found %r"
+                         % (word or "end of input"), self.pos)
 
     def agent_list(self) -> tuple:
         names = [self.agent()]
-        while self.peek()[_KIND] == "COMMA":
-            self.advance()
+        while self.words[self.pos] == ",":
+            self.pos += 1
             names.append(self.agent())
         return tuple(names)
 
     def agent(self) -> str:
-        _, text, line, col = self.expect("IDENT", "an agent name")
-        if text in _KEYWORDS:
-            raise ParseError("%r cannot be used as an agent name" % text,
-                             line, col)
-        return text
+        word = self.words[self.pos]
+        if not word or word in _SYMBOLS:
+            raise self.error("expected an agent name, found %r"
+                             % (word or "end of input"), self.pos)
+        if word in _KEYWORDS:
+            raise self.error("%r cannot be used as an agent name" % word,
+                             self.pos)
+        self.pos += 1
+        return word
 
 
 def parse(text: str) -> Formula:
@@ -647,26 +638,26 @@ def _show(f: Formula, outer: int) -> str:
     cls = type(f)
     level = _LEVEL.get(cls)
     if level is not None:
-        token, _, right = _BINARY[level - 1]
+        word, _, right = _BINARY[level - 1]
         inner = (level + 1, level) if right else (level, level + 1)
-        s = "%s %s %s" % (_show(f.left, inner[0]), token,
+        s = "%s %s %s" % (_show(f.left, inner[0]), word,
                           _show(f.right, inner[1]))
     elif cls is Atom or cls is MetaFormula:
         return f.name
     elif cls in _SYNTAX:
         program, prefix = _SYNTAX[cls]
         parts = []
-        for kind, text, role in program:
+        for word, role in program:
             if role is _AGENT:
-                parts.append(getattr(f, text))
+                parts.append(getattr(f, word))
             elif role is _AGENTS:
-                names = getattr(f, text)
+                names = getattr(f, word)
                 if names:
                     parts.append(",".join(names))
                 else:
                     parts.pop()  # an empty tuple drops its separator
             else:
-                parts.append(text)
+                parts.append(word)
         s = "".join(parts)
         if not prefix:
             return s

@@ -12,15 +12,20 @@ mask of every state listed by state index (the cells in first-state order
 are the distinct entries of that array), and each atom's valuation mask
 and each state's ideal partners; the definability blocks and the
 dependence closures are derived from these on first use.  An updated model
-(`replace_relations`) shares the state order, valuation and ideal masks of
-the model it came from.  The public functions read state names off the
-masks.
+(`replace_relations`) shares the state order, valuation and ideal masks,
+and the valuation classes, of the model it came from.  The public
+functions read state names off the masks.
 
 `atoms_partition` computes the modal-equivalence blocks of the static
-language by partition refinement against the valuation and every agent's
-relation.  `dep_closure(m, a, w)` returns cl_a(w), the union of blocks
-meeting the cell of w under a's relation; the induced dependence relation at
-w is then "same block, or both inside cl_a(w)".
+language by partition refinement on masks (Paige and Tarjan 1987): starting
+from the valuation classes, a block is split by the states whose cell,
+under some agent, meets another block, until no block splits.  Each model
+is refined from its valuation classes, never from the blocks of the model
+it was updated from, since a share can merge blocks as well as split them.
+`dep_closure(m, a, w)` returns cl_a(w), the union of blocks meeting the
+cell of w under a's relation; the induced dependence relation at w is then
+"same block, or both inside cl_a(w)".  `fingerprint` needs colours that
+compare across models, so it refines ranked colours (`_refine`) instead.
 """
 
 from __future__ import annotations
@@ -83,19 +88,24 @@ def _meet(arrays: list) -> tuple:
 
 class _Frame:
     """What a model shares with every model updated from it: the state
-    order, the valuation and ideal relation as masks, the hash of the
-    name-level content, and the state indices in name order."""
+    order, the valuation and ideal relation as masks, the valuation classes
+    (the states with equal valuations) as masks, the hash of the name-level
+    content, and the state indices in name order."""
 
-    __slots__ = ("index", "full", "val", "partners", "hash", "by_name")
+    __slots__ = ("index", "full", "val", "classes", "partners", "hash",
+                 "by_name")
 
     def __init__(self, states: tuple, agents: tuple, atoms: tuple,
                  val: dict, ideal):
         self.index = index = {s: i for i, s in enumerate(states)}
         self.full = (1 << len(states)) - 1
         self.val = masks = {}
+        classes = {}
         for s, i in index.items():
             for p in val[s]:
                 masks[p] = masks.get(p, 0) | 1 << i
+            classes[val[s]] = classes.get(val[s], 0) | 1 << i
+        self.classes = tuple(classes.values())
         partners = [0] * len(states)
         for pair in ideal or ():
             ends = [index[s] for s in pair]  # one state for a loop
@@ -234,19 +244,42 @@ class Model:
         return self._closure[agent]
 
     def _definability(self) -> None:
-        color = _refine(self, _rank([tuple(sorted(self.val[s]))
-                                     for s in self.states]))
-        of_color = {}  # in order of each colour's first state
-        for i, c in enumerate(color):
-            of_color[c] = of_color.get(c, 0) | 1 << i
-        block_at = [of_color[c] for c in color]
+        # In each pass, every block present at its start and every agent
+        # give the states whose cell meets that block, which split each
+        # class they cut.  A pass that splits nothing, or blocks of one
+        # state each, leave the partition stable.
+        cells = [dict.fromkeys(at) for at in self._cell_at.values()]
+        blocks = self._frame.classes
+        while len(blocks) < len(self.states):
+            start = blocks
+            for b in start:
+                for agent_cells in cells:
+                    pre = 0
+                    for cell in agent_cells:
+                        if cell & b:
+                            pre |= cell
+                    split = []
+                    for c in blocks:
+                        inside = c & pre
+                        if inside and inside != c:
+                            split += (inside, c ^ inside)
+                        else:
+                            split.append(c)
+                    blocks = split
+            if len(blocks) == len(start):
+                break
+        blocks = sorted(blocks, key=_low)
+        block_at = [0] * len(self.states)
+        for b in blocks:
+            for i in _members(b):
+                block_at[i] = b
         closure = {}
         for a, at in self._cell_at.items():
             cl = {}  # each cell's closure: the blocks of its states
             for cell, block in zip(at, block_at):
                 cl[cell] = cl.get(cell, 0) | block
             closure[a] = tuple([cl[cell] for cell in at])
-        self._blocks = tuple(of_color.values())
+        self._blocks = tuple(blocks)
         self._closure = closure
 
     def replace_relations(self, cells: Mapping) -> "Model":
@@ -320,37 +353,6 @@ def pointed(m: Model, state=None) -> PointedModel:
 
 # ---------------------------------------------------------------------------
 # definability blocks and the dependence closure
-
-
-def _rank(keys: list) -> list:
-    """Colour each state by the rank of its key among the sorted keys."""
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return [rank[key] for key in keys]
-
-
-def _refine(m: Model, color: list, ideal: bool = False) -> list:
-    """Split colour classes by the colours each agent's cell meets (and,
-    if `ideal`, the colours of the ideal partners) until none splits.
-    Colours are listed by state index."""
-    groups = [_members(c) for a in sorted(m.agents)
-              for c in dict.fromkeys(m._cell_at[a])]
-    if ideal:
-        partners = [_members(p) for p in m._frame.partners]
-    while True:
-        sigs = [[c] for c in color]
-        for states in groups:
-            met = tuple(sorted({color[i] for i in states}))
-            for i in states:
-                sigs[i].append(met)
-        if ideal:
-            for sig, states in zip(sigs, partners):
-                sig.append(tuple(sorted({color[i] for i in states})))
-        # a signature starts with the colour, so classes only split, and
-        # an unchanged colouring is stable
-        new = _rank([tuple(sig) for sig in sigs])
-        if new == color:
-            return color
-        color = new
 
 
 def atoms_partition(m: Model) -> Partition:
@@ -523,8 +525,37 @@ def save(m: Model) -> bytes:
 # canonical fingerprints
 
 
+def _rank(keys: list) -> list:
+    """Colour each state by the rank of its key among the sorted keys."""
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
+def _refine(m: Model, color: list) -> list:
+    """Split colour classes by the colours each agent's cell meets and the
+    colours of the ideal partners until none splits.  Colours are listed
+    by state index, ranked so that `fingerprint` can compare them."""
+    groups = [_members(c) for a in sorted(m.agents)
+              for c in dict.fromkeys(m._cell_at[a])]
+    partners = [_members(p) for p in m._frame.partners]
+    while True:
+        sigs = [[c] for c in color]
+        for states in groups:
+            met = tuple(sorted({color[i] for i in states}))
+            for i in states:
+                sigs[i].append(met)
+        for sig, states in zip(sigs, partners):
+            sig.append(tuple(sorted({color[i] for i in states})))
+        # a signature starts with the colour, so classes only split, and
+        # an unchanged colouring is stable
+        new = _rank([tuple(sig) for sig in sigs])
+        if new == color:
+            return color
+        color = new
+
+
 def _canonical_bytes(m: Model, point: int, color: list) -> bytes:
-    color = _refine(m, color, ideal=True)
+    color = _refine(m, color)
     classes = {}
     for i, c in enumerate(color):
         classes.setdefault(c, []).append(i)

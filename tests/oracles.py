@@ -49,6 +49,11 @@ def naive_blocks(m):
 
 _equiv_cache = {}
 
+# the model `equiv_classes` last refined and its `naive_blocks`: callers ask
+# about every agent and state of one model in a row, and models are not
+# changed after they are built
+_last_blocks = [None, None]
+
 
 def equiv_classes(m, agent, state):
     """Grouping of states by agreement on everything the agent knows.
@@ -58,7 +63,9 @@ def equiv_classes(m, agent, state):
     together iff no such set separates them; the quantification over all
     unions is taken literally.
     """
-    blocks = naive_blocks(m)
+    if _last_blocks[0] is not m:
+        _last_blocks[:] = [m, naive_blocks(m)]
+    blocks = _last_blocks[1]
     cell = m.cell(agent, state)
     key = (blocks, cell)
     try:

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import pickle
+import random
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -189,6 +191,19 @@ PARSE_ERRORS = (
     ("p &\n 1p", "unexpected character '1'", 2, 2),
     ("p &\n - q", "stray '-'", 2, 2),
     ("p &\n < q", "stray '<'", 2, 2),
+    # a tab and a carriage return are one column each; the end of input
+    # after a trailing newline starts the next line
+    ("p\t&\t#", "unexpected character '#'", 1, 5),
+    ("p &\r\n  & q", "expected a formula, found '&'", 2, 3),
+    ("p &\n", "expected a formula, found 'end of input'", 2, 1),
+    # the depth bound, met while descending (at the first word past it)
+    # and by a finished tree of left-nested connectives (at its first word)
+    ("\n" + "~" * (MAX_DEPTH + 1) + "p",
+     "formula nests deeper than %d levels" % MAX_DEPTH, 2, MAX_DEPTH + 1),
+    ("\n  " + " & ".join(["p"] * (MAX_DEPTH + 1)),
+     "formula nests deeper than %d levels" % MAX_DEPTH, 2, 3),
+    # `Rk{group}` fails at ';', and `Rk{leader;group}` gets further
+    ("Rk{a;\n b,}p", "expected an agent name, found '}'", 2, 4),
 )
 
 
@@ -624,6 +639,36 @@ _SYNTAX_BITS = st.sampled_from(
     ["p", "q", "a", "b", "A", "PHI", "K", "D", "E", "Ri", "Rk", "P", "Ob",
      "Perm", "Ok", "O", "true", "{", "}", "[", "]", "(", ")", ",", ";", "|",
      ">", "&", "~", "->", "<->", "-", "<", " ", "\n", "é", "²", "١", "_1"])
+
+
+# pieces of the parse digest: heads, agents, atoms, punctuation, arrows,
+# the skipped whitespace and characters that are no word of the syntax
+_PIECES = ("K{", "D{", "E{", "Ri{", "Rk{", "P{", "Ob{", "Ok{", "Perm(", "O",
+           "K", "Rk", "true", "false", "a", "b", "c", "A", "p", "q", "PHI",
+           "(", ")", "{", "}", "[", "]", ",", ";", "|", "&", "~", ">", "->",
+           "<->", " ", "\t", "\r", "\n", "_", "1", "\xa0", "-", "<")
+
+# sha256 over 20,000 random inputs of the input and either its printed
+# formula or its error class, message, line and column; recorded before the
+# tokenizer stopped keeping positions
+PARSE_DIGEST = \
+    "188e919a9120fa8684f7296fceebfc8dbc5c4efc337588d05cc59030a45e617a"
+
+
+def test_parse_outcomes_are_pinned():
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(20000):
+        text = "".join(rng.choice(_PIECES)
+                       for _ in range(rng.randint(0, 14)))
+        try:
+            outcome = print_formula(parse(text))
+        except FormulaError as err:
+            outcome = "%s %s %s %s" % (type(err).__name__, err,
+                                       getattr(err, "line", None),
+                                       getattr(err, "col", None))
+        digest.update(("%r\0%s\0" % (text, outcome)).encode())
+    assert digest.hexdigest() == PARSE_DIGEST
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
 """Models, serialization, definability blocks, and fingerprints."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from knowpool.kripke import (Model, ModelError, PointedModel,
                              atoms_partition, dep_closure, dep_partition,
                              fingerprint, load, pointed, save)
 from knowpool.lab import enumerate_models, gen_model, GenConfig
-from knowpool.update import share_update
+from knowpool.update import resolve_update, share_update
 from knowpool.presets import (PRESETS, overlap, service_desk,
                               service_desk_deontic)
 
@@ -228,6 +229,30 @@ class TestBlocks:
         for i in range(60):
             m = gen_model(cfg, i)
             assert set(atoms_partition(m)) == set(naive_blocks(m))
+
+    def test_updated_models_match_naive_oracle(self):
+        # a share can make blocks finer or coarser, so each updated model
+        # is refined on its own
+        cfg = GenConfig(samples=60)
+        models = itertools.chain(enumerate_models(3, 2, 1),
+                                 (gen_model(cfg, i) for i in range(60)))
+        for m in models:
+            updated = [share_update(m, w, a, b) for w in m.states
+                       for a, b in itertools.product(m.agents, repeat=2)]
+            updated += [resolve_update(m, group) for group
+                        in itertools.combinations(m.agents, 2)]
+            for after in updated:
+                assert set(atoms_partition(after)) == set(naive_blocks(after))
+
+    def test_a_share_can_merge_blocks(self):
+        # only a's cell {w1, w2} tells w1 from w0; the share cuts it
+        m = Model(("w0", "w1", "w2"), ("a", "b"), ("p",),
+                  {"a": ({"w0"}, {"w1", "w2"}), "b": ({"w0", "w1"}, {"w2"})},
+                  {"w2": {"p"}})
+        assert set(atoms_partition(m)) == {frozenset({s}) for s in m.states}
+        after = share_update(m, "w1", "b", "a")
+        assert set(atoms_partition(after)) == {frozenset({"w0", "w1"}),
+                                               frozenset({"w2"})}
 
 
 class TestDepClosure:
