@@ -6,15 +6,15 @@ relation (a non-empty symmetric set of state pairs inside the union of the
 agent relations) and a designated evaluation point.
 
 Inside, a set of states is an int mask whose bit i stands for the i-th
-state of `m.states`, the explicit-state bitset representation of epistemic
-model checkers.  A model holds each agent's partition once, as the cell
-mask of every state listed by state index (the cells in first-state order
-are the distinct entries of that array), and each atom's valuation mask
+state in name order, the explicit-state bitset representation of epistemic
+model checkers; the order of `m.states` is presentation.  Equal models
+therefore hold equal masks.  A model holds each agent's partition once,
+as the cell mask of every state by bit, and each atom's valuation mask
 and each state's ideal partners; the definability blocks and the
 dependence closures are derived from these on first use.  An updated model
-(`replace_relations`) shares the state order, valuation and ideal masks,
-and the valuation classes, of the model it came from.  The public
-functions read state names off the masks.
+(`replace_relations`) shares the states, valuation and ideal masks, and
+the valuation classes, of the model it came from.  The public functions
+read state names off the masks and list them in the order of `m.states`.
 
 `atoms_partition` computes the modal-equivalence blocks of the static
 language by partition refinement on masks (Paige and Tarjan 1987): starting
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
@@ -47,11 +47,6 @@ class Partition:
     """Disjoint blocks covering a state set."""
 
     blocks: tuple
-    _of: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_of",
-                           {s: b for b in self.blocks for s in b})
 
     def __iter__(self) -> Iterator[frozenset]:
         return iter(self.blocks)
@@ -59,17 +54,10 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, state: str) -> frozenset:
-        return self._of[state]
-
-
-def _low(mask: int) -> int:
-    """The lowest set bit, i.e. the first state of the mask."""
-    return mask & -mask
-
 
 def _members(mask: int) -> list:
-    """The bit positions (state indices) of a mask, lowest first."""
+    """The bit positions of a mask, lowest first: bit i is the i-th state
+    in name order."""
     out = []
     while mask:
         low = mask & -mask
@@ -88,16 +76,17 @@ def _meet(arrays: list) -> tuple:
 
 class _Frame:
     """What a model shares with every model updated from it: the state
-    order, the valuation and ideal relation as masks, the valuation classes
-    (the states with equal valuations) as masks, the hash of the name-level
-    content, and the state indices in name order."""
+    names in bit order (name order) and the bit of each, the valuation and
+    ideal relation as masks, the valuation classes (the states with equal
+    valuations) as masks, and the hash of the name-level content."""
 
-    __slots__ = ("index", "full", "val", "classes", "partners", "hash",
-                 "by_name")
+    __slots__ = ("names", "index", "full", "val", "classes", "partners",
+                 "hash")
 
     def __init__(self, states: tuple, agents: tuple, atoms: tuple,
                  val: dict, ideal):
-        self.index = index = {s: i for i, s in enumerate(states)}
+        self.names = tuple(sorted(states))
+        self.index = index = {s: i for i, s in enumerate(self.names)}
         self.full = (1 << len(states)) - 1
         self.val = masks = {}
         classes = {}
@@ -115,7 +104,6 @@ class _Frame:
         self.partners = tuple(partners)
         self.hash = hash((frozenset(states), frozenset(agents),
                           frozenset(atoms), frozenset(val.items()), ideal))
-        self.by_name = sorted(range(len(states)), key=states.__getitem__)
 
 
 class Model:
@@ -210,8 +198,8 @@ class Model:
     # -- names read off the masks
 
     def _names(self, mask: int) -> frozenset:
-        states = self.states
-        return frozenset([states[i] for i in _members(mask)])
+        names = self._frame.names
+        return frozenset([names[i] for i in _members(mask)])
 
     @property
     def rel(self) -> dict:
@@ -223,7 +211,9 @@ class Model:
 
     def cells(self, agent: str) -> tuple:
         """The agent's cells, ordered by their first state."""
-        return tuple(map(self._names, dict.fromkeys(self._cell_at[agent])))
+        at, index = self._cell_at[agent], self._frame.index
+        return tuple(map(self._names,
+                         dict.fromkeys(at[index[s]] for s in self.states)))
 
     def ideal_partners(self, state: str) -> frozenset:
         """O[state]: the states ideally related to this one."""
@@ -238,7 +228,7 @@ class Model:
         return self._blocks
 
     def _closure_at(self, agent: str) -> tuple:
-        """cl_agent(w) of each state w, by state index."""
+        """cl_agent(w) of each state w, by bit."""
         if self._closure is None:
             self._definability()
         return self._closure[agent]
@@ -268,7 +258,6 @@ class Model:
                     blocks = split
             if len(blocks) == len(start):
                 break
-        blocks = sorted(blocks, key=_low)
         block_at = [0] * len(self.states)
         for b in blocks:
             for i in _members(b):
@@ -279,14 +268,16 @@ class Model:
             for cell, block in zip(at, block_at):
                 cl[cell] = cl.get(cell, 0) | block
             closure[a] = tuple([cl[cell] for cell in at])
-        self._blocks = tuple(blocks)
+        index = self._frame.index
+        self._blocks = tuple(dict.fromkeys(block_at[index[s]]
+                                           for s in self.states))
         self._closure = closure
 
     def replace_relations(self, cells: Mapping) -> "Model":
         """Fresh model with some agents' cells swapped out.
 
         `cells` maps an agent to its new partition as a tuple of the cell
-        mask of each state, by state index.  Everything else is shared with
+        mask of each state, by bit.  Everything else is shared with
         this model and not validated again."""
         new = object.__new__(Model)
         new.states, new.agents, new.atoms = self.states, self.agents, self.atoms
@@ -296,17 +287,15 @@ class Model:
         new._blocks = new._closure = new._hash = None
         return new
 
-    # -- equality by content: states, agents and atoms as sets
+    # -- equality by content: states, agents and atoms as sets; bits follow
+    # state names, so equal partitions hold equal masks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Model):
             return NotImplemented
-        if self.states == other.states:  # one state order: masks compare
-            same_cells = self._cell_at == other._cell_at
-        else:
-            same_cells = set(self.states) == set(other.states) and \
-                self._partitions() == other._partitions()
-        return (same_cells and self.point == other.point
+        return (self._frame.names == other._frame.names
+                and self._cell_at == other._cell_at
+                and self.point == other.point
                 and self.val == other.val and self.ideal == other.ideal
                 and set(self.agents) == set(other.agents)
                 and set(self.atoms) == set(other.atoms))
@@ -314,19 +303,8 @@ class Model:
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash((self._frame.hash, self.point,
-                               frozenset(self._partitions().items())))
+                               frozenset(self._cell_at.items())))
         return self._hash
-
-    def _partitions(self) -> dict:
-        """Each agent's partition as the cell numbers of the states taken
-        in name order, cells numbered as they are first met: the same for
-        equal partitions whatever order the states are listed in."""
-        out = {}
-        for a, at in self._cell_at.items():
-            number = {}
-            out[a] = tuple([number.setdefault(at[i], len(number))
-                            for i in self._frame.by_name])
-        return out
 
     def __repr__(self) -> str:
         return "Model(states=%r, agents=%r, point=%r)" % (
@@ -499,13 +477,14 @@ def save(m: Model) -> bytes:
     Relation pair lists are written as the full closure (loops included),
     so the output also loads in strict mode.
     """
-    states = m.states
+    states, index = m.states, m._frame.index
 
     def pairs(masks, once=False):
         # each state in order with every state of its mask, in order; with
         # `once`, only those not before it, so a symmetric pair comes once
-        return [[states[i], states[j]] for i, mask in enumerate(masks)
-                for j in _members(mask) if j >= i or not once]
+        return [[s, t] for k, s in enumerate(states)
+                for t in states[k if once else 0:]
+                if masks[index[s]] >> index[t] & 1]
 
     data = {
         "states": list(states),
@@ -534,7 +513,7 @@ def _rank(keys: list) -> list:
 def _refine(m: Model, color: list) -> list:
     """Split colour classes by the colours each agent's cell meets and the
     colours of the ideal partners until none splits.  Colours are listed
-    by state index, ranked so that `fingerprint` can compare them."""
+    by bit, ranked so that `fingerprint` can compare them."""
     groups = [_members(c) for a in sorted(m.agents)
               for c in dict.fromkeys(m._cell_at[a])]
     partners = [_members(p) for p in m._frame.partners]
@@ -605,6 +584,7 @@ def fingerprint(pm: PointedModel) -> bytes:
     planner no longer calls it, since it deduplicates on exact models.
     """
     m = pm.model
-    base = _rank([(s == pm.point, tuple(sorted(m.val[s]))) for s in m.states])
+    base = _rank([(s == pm.point, tuple(sorted(m.val[s])))
+                  for s in m._frame.names])
     # the stored default point is presentation metadata, not structure
     return _canonical_bytes(m, m._frame.index[pm.point], base)

@@ -319,11 +319,10 @@ def _pool_for(spec: SchemaSpec, m: Model, nvars: int):
 
 def _refuted(m: Model, f: Formula, ctx: EvalContext):
     """None if `f` holds at every state, else `(f, first refuting state)`."""
+    if global_truth(m, f, ctx):
+        return None
     ext = extension(m, f, ctx)
-    for s in m.states:
-        if s not in ext:
-            return f, s
-    return None
+    return f, next(s for s in m.states if s not in ext)
 
 
 class Lab:
@@ -465,7 +464,7 @@ def _o_poss_cases(m: Model, ctx: EvalContext):
 def _perm_sender_swap_cases(m: Model, ctx: EvalContext):
     """Senders with identical relations grant the same share permissions."""
     for x, y in itertools.permutations(m.agents, 2):
-        if m.rel[x] != m.rel[y]:
+        if m.cells(x) != m.cells(y):
             continue
         for z in m.agents:
             inst = Iff(PermittedShare(x, z), PermittedShare(y, z))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .formula import (_AGENT, And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp,
                       K, MetaFormula, Not, OkAtom, Or, ResolveInfo, Share, Top,
                       _agent_fields, expand)
-from .kripke import Model, PointedModel, _low, _meet, save
+from .kripke import Model, PointedModel, _meet, save
 # unused here; bench/layers.py traces `semantics.dep_closure` by name
 from .kripke import dep_closure  # noqa: F401
 from .update import resolve_update, share_update
@@ -34,11 +34,7 @@ class EvalError(ValueError):
 
 class EvalContext:
     """Shared memo across evaluations.  With debug=True every cache hit is
-    re-derived and compared, trading speed for a self-check.
-
-    Equal models may list their states in different orders, and a memo
-    entry's masks mean something only in one order, so every key holds
-    the model's state order beside the model."""
+    re-derived and compared, trading speed for a self-check."""
 
     def __init__(self, debug: bool = False):
         self.debug = debug
@@ -49,7 +45,7 @@ class EvalContext:
     def updated(self, m: Model, w: str, sender: str, receiver: str) -> Model:
         # the update depends on the state only through (cell, closure)
         i = m._frame.index[w]
-        key = (m, m.states, sender, receiver, m._cell_at[receiver][i],
+        key = (m, sender, receiver, m._cell_at[receiver][i],
                m._closure_at(sender)[i])
         out = self._upd.get(key)
         if out is None:
@@ -61,7 +57,7 @@ class EvalContext:
         return out
 
     def resolved(self, m: Model, group: tuple) -> Model:
-        key = (m, m.states, frozenset(group))
+        key = (m, frozenset(group))
         out = self._res.get(key)
         if out is None:
             out = resolve_update(m, group)
@@ -82,7 +78,7 @@ def extension(m: Model, f: Formula, ctx: EvalContext | None = None) -> frozenset
 
 def _ext(m: Model, f: Formula, ctx: EvalContext) -> int:
     """The states where `f` holds, as a mask of `m`'s states."""
-    key = (m, m.states, f)
+    key = (m, f)
     hit = ctx._ext.get(key)
     if hit is not None:
         if ctx.debug:
@@ -123,7 +119,7 @@ def _box(m: Model, f: K | D, ctx: EvalContext) -> int:
 
 def _share(m: Model, f: Share, ctx: EvalContext) -> int:
     out = 0
-    for i, w in enumerate(m.states):
+    for i, w in enumerate(m._frame.names):
         updated = ctx.updated(m, w, f.sender, f.receiver)
         out |= _ext(updated, f.body, ctx) & 1 << i
     return out
@@ -166,7 +162,7 @@ _RULES = {
 
 
 def _states_where(flags) -> int:
-    """The mask of the states whose flag, listed by state index, is set."""
+    """The mask of the states whose flag, listed by bit, is set."""
     out = 0
     for i, flag in enumerate(flags):
         if flag:
@@ -175,7 +171,7 @@ def _states_where(flags) -> int:
 
 
 def _reach(m: Model, f: K | D) -> tuple:
-    """The states the box of `f` ranges over at each state, by state index:
+    """The states the box of `f` ranges over at each state, by bit:
     the agent's cell met with each dependency's closure, or the meet of
     the group's cells."""
     if type(f) is K:
@@ -214,7 +210,8 @@ def check(pm: PointedModel, f: Formula, ctx: EvalContext | None = None) -> Check
     if not value:
         if isinstance(g, (K, D)):
             miss = _reach(m, g)[i] & ~_ext(m, g.body, ctx)
-            witness = m.states[_low(miss).bit_length() - 1]
+            index = m._frame.index
+            witness = next(s for s in m.states if miss >> index[s] & 1)
         elif isinstance(g, Share):
             updated = ctx.updated(m, pm.point, g.sender, g.receiver)
             inner = check(PointedModel(updated, pm.point), g.body, ctx)
@@ -224,4 +221,6 @@ def check(pm: PointedModel, f: Formula, ctx: EvalContext | None = None) -> Check
 
 def global_truth(m: Model, f: Formula, ctx: EvalContext | None = None) -> bool:
     """True iff the formula holds at every state."""
-    return len(extension(m, f, ctx)) == len(m.states)
+    if ctx is None:
+        ctx = EvalContext()
+    return _ext(m, expand(f), ctx) == m._frame.full

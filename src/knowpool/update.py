@@ -40,9 +40,6 @@ def share_update(m: Model, w: str, a: str, b: str) -> Model:
         raise ModelError("unknown state %r" % (w,))
     _check_agent(m, a)
     _check_agent(m, b)
-    if a == b:
-        # own dependence relation contains own cell: nothing to delete
-        return m
     # the dependence relation at w: cl_a(w) is one class, and each block
     # outside it another; it cuts the target cell into the pieces it meets
     target = m._cell_at[b][i]

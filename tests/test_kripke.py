@@ -7,10 +7,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knowpool.formula import parse
 from knowpool.kripke import (Model, ModelError, PointedModel,
                              atoms_partition, dep_closure, dep_partition,
                              fingerprint, load, pointed, save)
 from knowpool.lab import enumerate_models, gen_model, GenConfig
+from knowpool.semantics import check, extension
 from knowpool.update import resolve_update, share_update
 from knowpool.presets import (PRESETS, overlap, service_desk,
                               service_desk_deontic)
@@ -204,6 +206,63 @@ class TestSerialization:
         got = {"shuffled": data, "shared": shared}
         assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} \
             == self.SAVED
+
+
+def twelve():
+    # twelve states listed w0..w11, so name order puts w10 and w11 before
+    # w2; the map w0<->w8, w1<->w9, w2<->w10 is an automorphism, so those
+    # pairs share blocks
+    val = {"w0": {"p"}, "w1": {"q"}, "w2": {"p"}, "w4": {"p", "q"},
+           "w5": {"q"}, "w7": {"p"}, "w8": {"p"}, "w9": {"q"}, "w10": {"p"},
+           "w11": {"p", "q"}}
+    return Model(["w%d" % i for i in range(12)], ("a", "b"), ("p", "q"),
+                 {"a": ({"w0", "w1"}, {"w8", "w9"}, {"w2", "w3", "w10"},
+                        {"w4", "w5"}, {"w6"}, {"w7"}, {"w11"}),
+                  "b": ({"w1", "w2"}, {"w9", "w10"}, {"w0", "w8"},
+                        {"w3", "w11", "w4"}, {"w5", "w6", "w7"})},
+                 val, point="w2")
+
+
+class TestListingOrder:
+    """What the public functions list follows the order the model lists
+    its states in, whatever order its masks number them in."""
+
+    # save bytes as sha256, blocks, the dependence partition of b at w1,
+    # each agent's cells, the witness of K{a}q at the point, and the
+    # extension of K{a}q; recorded before the mask bits followed state
+    # names
+    PINNED = {
+        "shuffled": (
+            "7063ba177453e1c2483d29c805311410767216b7e6ac5e1b61db677be6960152",
+            [{"w2"}, {"w0"}, {"w3"}, {"w1"}],
+            [{"w2"}, {"w0"}, {"w1", "w3"}],
+            {"a": [{"w0", "w2", "w3"}, {"w1"}],
+             "b": [{"w2"}, {"w0"}, {"w1", "w3"}]},
+            "w2", {"w1"}),
+        "twelve": (
+            "7060468ae94f18718670a3349718c1aae70a6605f3cae90165364d665d3f5158",
+            [{"w0", "w8"}, {"w1", "w9"}, {"w2", "w10"}, {"w3"}, {"w4"},
+             {"w5"}, {"w6"}, {"w7"}, {"w11"}],
+            [{"w0", "w8"}, {"w1", "w2", "w9", "w10"}, {"w3"}, {"w4"},
+             {"w5"}, {"w6"}, {"w7"}, {"w11"}],
+            {"a": [{"w0", "w1"}, {"w2", "w3", "w10"}, {"w4", "w5"}, {"w6"},
+                   {"w7"}, {"w8", "w9"}, {"w11"}],
+             "b": [{"w0", "w8"}, {"w1", "w2"}, {"w3", "w4", "w11"},
+                   {"w5", "w6", "w7"}, {"w9", "w10"}]},
+            "w2", {"w4", "w5", "w11"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_outputs_follow_the_listing(self, name):
+        m = TestSerialization.shuffled() if name == "shuffled" else twelve()
+        f = parse("K{a}q")
+        got = (hashlib.sha256(save(m)).hexdigest(),
+               list(atoms_partition(m)),
+               list(dep_partition(m, "b", "w1")),
+               {a: list(m.cells(a)) for a in m.agents},
+               check(pointed(m), f).witness,
+               extension(m, f))
+        assert got == self.PINNED[name]
 
 
 class TestBlocks:

@@ -181,8 +181,9 @@ class TestContext:
         "p & ~q", "K{c|a}q", "[a>c]K{c}(p->q)", "Ri{a,b}K{a}q",
         "[b>c]Ri{a,c}K{c}(p|r)", "Rk{a,b,c}[a>b]K{b}r"])
     def test_shared_memo_keeps_each_state_order(self, text):
-        # a copy listing the states in another order equals the model, but
-        # the memo's masks are read in one state order only
+        # a copy listing the states in another order equals the model and
+        # holds the same masks, since bits follow state names, so it may
+        # share the model's memo entries
         m = service_desk()
         f = parse(text)
         want = extension(m, f)
