@@ -326,10 +326,11 @@ def _refuted(m: Model, f: Formula, ctx: EvalContext):
 
 
 class Lab:
-    """Model banks shared across schema checks, one eval context per model."""
+    """Model banks and one eval context shared across schema checks."""
 
     def __init__(self, cfg: GenConfig = DEFAULT_CONFIG):
         self.cfg = cfg
+        self.ctx = EvalContext()
         self._banks = {}
         # instances only depend on the agent and atom inventories
         self._instances = {}
@@ -341,14 +342,13 @@ class Lab:
             models = list(enumerate_models(n, na, nk, deontic=key))
             cfg = replace(self.cfg, deontic=key)
             models += [gen_model(cfg, i) for i in range(cfg.samples)]
-            self._banks[key] = [(m, EvalContext()) for m in models]
+            self._banks[key] = models
         return self._banks[key]
 
     def invalidity_bank(self):
         # lazy: callers stop at the first countermodel
         n, na, nk = INVALIDITY_TIER
-        for m in enumerate_models(n, na, nk, deontic=True):
-            yield m, EvalContext()
+        return enumerate_models(n, na, nk, deontic=True)
 
     def check(self, name: str) -> LabReport:
         """Run the schema's cases model by model, up to the first refuted one.
@@ -366,11 +366,11 @@ class Lab:
             else self.bank(spec.deontic)
         models = instances = 0
         found = None
-        for m, ctx in bank:
+        for m in bank:
             if len(m.agents) < need:
                 continue
             models += 1
-            for case in cases(m, ctx):
+            for case in cases(m, self.ctx):
                 instances += 1
                 if case is not None:
                     found = (m,) + case
@@ -480,12 +480,12 @@ _CHECKERS = {
 }
 
 
-_LABS = {}
+_lab = functools.cache(Lab)  # one Lab per config, built on first use
 
 
 def check_schema(name: str, cfg: GenConfig = DEFAULT_CONFIG) -> LabReport:
     """Check one registered schema, reusing banks across calls."""
-    return _LABS.setdefault(cfg, Lab(cfg)).check(name)
+    return _lab(cfg).check(name)
 
 
 def run_all(cfg: GenConfig = DEFAULT_CONFIG):

@@ -3,11 +3,12 @@
 `extension` computes the set of states where a formula holds.  Share and
 resolution operators evaluate the body in the updated model; the update for
 a share is anchored at the current evaluation state, so a boxed formula may
-build a different model per state.  An `EvalContext` memoizes extensions per
-(model, kernel node) and reuses updated models across states that trigger
-the same update.  Formula nodes are interned and cache their own expansion
-(see `formula`), so a memo key hashes in constant time and a formula seen
-before is not expanded again.
+build a different model per state.  An `EvalContext` keeps one memo dict
+per model, holding the model's extensions per kernel node and its updated
+models, which are reused across states that trigger the same update.
+Formula nodes are interned and cache their own expansion (see `formula`),
+so a memo key hashes in constant time and a formula seen before is not
+expanded again.
 
 Evaluation works on state masks (see `kripke`): one rule per kernel node
 type maps a model and a node to the mask of the states where it holds, the
@@ -17,6 +18,7 @@ masks, and state names appear only in what `extension` and `check` return.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .formula import (_AGENT, And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp,
@@ -33,37 +35,35 @@ class EvalError(ValueError):
 
 
 class EvalContext:
-    """Shared memo across evaluations.  With debug=True every cache hit is
-    re-derived and compared, trading speed for a self-check."""
+    """Shared memo across evaluations: one dict per model, keyed by the
+    model.  A model's dict maps a kernel node to its extension mask,
+    `(sender, receiver, cell, closure)` to the updated model and
+    `frozenset(group)` to the resolved model; these key types never compare
+    equal.  With debug=True every cache hit is re-derived and compared,
+    trading speed for a self-check."""
 
     def __init__(self, debug: bool = False):
         self.debug = debug
-        self._ext = {}
-        self._upd = {}
-        self._res = {}
+        self._memo = defaultdict(dict)
 
     def updated(self, m: Model, w: str, sender: str, receiver: str) -> Model:
         # the update depends on the state only through (cell, closure)
         i = m._frame.index[w]
-        key = (m, sender, receiver, m._cell_at[receiver][i],
+        key = (sender, receiver, m._cell_at[receiver][i],
                m._closure_at(sender)[i])
-        out = self._upd.get(key)
-        if out is None:
-            out = share_update(m, w, sender, receiver)
-            self._upd[key] = out
-        elif self.debug:
-            assert out == share_update(m, w, sender, receiver), \
-                "memo entry diverged from recomputation"
-        return out
+        return self._model(m, key, share_update, w, sender, receiver)
 
     def resolved(self, m: Model, group: tuple) -> Model:
-        key = (m, frozenset(group))
-        out = self._res.get(key)
+        return self._model(m, frozenset(group), resolve_update, group)
+
+    def _model(self, m: Model, key, update, *args) -> Model:
+        """`m`'s updated model under `key`, built by `update(m, *args)`."""
+        memo = self._memo[m]
+        out = memo.get(key)
         if out is None:
-            out = resolve_update(m, group)
-            self._res[key] = out
+            out = memo[key] = update(m, *args)
         elif self.debug:
-            assert out == resolve_update(m, group), \
+            assert out == update(m, *args), \
                 "memo entry diverged from recomputation"
         return out
 
@@ -78,15 +78,14 @@ def extension(m: Model, f: Formula, ctx: EvalContext | None = None) -> frozenset
 
 def _ext(m: Model, f: Formula, ctx: EvalContext) -> int:
     """The states where `f` holds, as a mask of `m`'s states."""
-    key = (m, f)
-    hit = ctx._ext.get(key)
+    memo = ctx._memo[m]
+    hit = memo.get(f)
     if hit is not None:
         if ctx.debug:
             fresh = _compute(m, f, ctx)
             assert fresh == hit, "memo entry diverged from recomputation"
         return hit
-    out = _compute(m, f, ctx)
-    ctx._ext[key] = out
+    out = memo[f] = _compute(m, f, ctx)
     return out
 
 

@@ -127,6 +127,28 @@ def test_report_is_pinned(name):
     assert (rep.models, rep.instances, rep.verdict, shown) == PINNED[name]
 
 
+def test_a_shared_lab_reports_as_fresh_labs_do():
+    # one Lab keeps one memo across every schema it checks, so equal
+    # models, shares and resolutions met by earlier schemas are reused
+    mix = ("kt", "d5", "k_share", "int_r", "ns", "p_t", "cl", "int_plus",
+           "perm_sender_swap")
+    cfg = GenConfig(samples=40)
+    shared = Lab(cfg)
+    assert [shared.check(name) for name in mix] \
+        == [Lab(cfg).check(name) for name in mix]
+
+
+def test_check_schema_builds_one_lab_per_config(monkeypatch):
+    # a config seen before reuses its Lab, so no second EvalContext is built
+    built = []
+    monkeypatch.setattr(lab, "EvalContext",
+                        lambda: built.append(1) or semantics.EvalContext())
+    cfg = GenConfig(samples=2, seed=11)
+    check_schema("kt", cfg)
+    check_schema("dt", cfg)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("model", [
     next(enumerate_models(1, 2, 2, deontic=True)), service_desk_deontic()],
     ids=["two-agents", "three-agents"])

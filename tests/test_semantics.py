@@ -11,7 +11,7 @@ from knowpool.formula import (And, Atom, Bot, D, Everybody, IdealAtom, Iff,
                               Obliged, OkAtom, Or, Permitted, PermittedShare,
                               Resolution, ResolveInfo, Share, Top, expand,
                               parse)
-from knowpool.kripke import PointedModel, load, pointed
+from knowpool.kripke import Model, PointedModel, load, pointed
 from knowpool.lab import GOLDEN_FACTS, GenConfig, gen_model
 from knowpool.presets import PRESETS, overlap, service_desk, \
     service_desk_deontic
@@ -195,19 +195,22 @@ class TestContext:
             assert extension(twin, f, ctx) == want
             assert check(pointed(twin, "s3"), f, ctx).value == ("s3" in want)
 
-    @pytest.mark.parametrize("memo, text, again", [
-        ("_upd", "[a>c]K{c}(p->q)",
+    @pytest.mark.parametrize("preset, text, again", [
+        (service_desk, "[a>c]K{c}(p->q)",
          lambda ctx, m: ctx.updated(m, "s0", "a", "c")),
-        ("_res", "Ri{a,b}K{a}q", lambda ctx, m: ctx.resolved(m, ("a", "b")))],
+        (overlap, "Ri{a,b}K{a}q", lambda ctx, m: ctx.resolved(m, ("a", "b")))],
         ids=["updated", "resolved"])
-    def test_debug_rederives_update_hits(self, memo, text, again):
-        m = overlap() if memo == "_res" else service_desk()
+    def test_debug_rederives_update_hits(self, preset, text, again):
+        m = preset()
         ctx = EvalContext(debug=True)
         extension(m, parse(text), ctx)
         updated = again(ctx, m)
-        assert updated != m and getattr(ctx, memo)
-        for key in getattr(ctx, memo):
-            getattr(ctx, memo)[key] = m  # as if the update had been lost
+        # m's memo dict holds its extensions and its updated models
+        memo = ctx._memo[m]
+        keys = [key for key, out in memo.items() if isinstance(out, Model)]
+        assert updated != m and keys
+        for key in keys:
+            memo[key] = m  # as if the update had been lost
         with pytest.raises(AssertionError):
             again(ctx, m)
 
@@ -316,4 +319,4 @@ def test_nested_everybody_is_linear(k):
     assert _distinct_nodes(f) == 5 * k + 1
     ctx = EvalContext()
     extension(service_desk(), f, ctx)
-    assert len(ctx._ext) == 5 * k + 1
+    assert sum(map(len, ctx._memo.values())) == 5 * k + 1
