@@ -10,9 +10,9 @@ stress-tests the algebraic laws of these operations on generated models.
 from .formula import (Atom, Bot, FormulaError, Formula, IdealAtom, OkAtom,
                       ParseError, Schema, Top, expand, instantiate, parse,
                       print_formula)
-from .kripke import (Model, ModelError, Partition, PointedModel,
-                     atoms_partition, dep_closure, dep_partition,
-                     fingerprint, load, pointed, save)
+from .kripke import (Model, ModelError, PointedModel, atoms_partition,
+                     dep_closure, dep_partition, fingerprint, load, pointed,
+                     save)
 from .lab import (DEFAULT_CONFIG, GOLDEN_FACTS, GenConfig, LabReport,
                   SCHEMAS, check_fact, check_schema, compare_readings,
                   enumerate_models, gen_model, run_all, run_reference_suite)
@@ -28,7 +28,7 @@ __all__ = [
     "Atom", "Bot", "CheckResult", "DEFAULT_CONFIG", "EvalContext",
     "EvalError", "Formula", "FormulaError", "GOLDEN_FACTS", "GenConfig",
     "IdealAtom", "LabReport", "Model", "ModelError", "OkAtom", "PRESETS",
-    "ParseError", "Partition", "Plan", "PointedModel", "SCHEMAS", "Schema",
+    "ParseError", "Plan", "PointedModel", "SCHEMAS", "Schema",
     "ShareStep", "Top", "apply_sequence", "atoms_partition", "check",
     "check_fact", "check_schema", "compare_readings", "dep_closure",
     "dep_partition", "enumerate_models", "expand", "extension",

@@ -33,26 +33,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
 class ModelError(ValueError):
     """Malformed model data or a failed validation invariant."""
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint blocks covering a state set."""
-
-    blocks: tuple
-
-    def __iter__(self) -> Iterator[frozenset]:
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def _members(mask: int) -> list:
@@ -333,13 +320,14 @@ def pointed(m: Model, state=None) -> PointedModel:
 # definability blocks and the dependence closure
 
 
-def atoms_partition(m: Model) -> Partition:
-    """Coarsest partition stable under the valuation and every relation.
+def atoms_partition(m: Model) -> tuple:
+    """Coarsest partition stable under the valuation and every relation, as
+    a tuple of blocks ordered by their first state.
 
     Two states end up in the same block iff they satisfy the same formulas
     of the static language, so blocks are the definable building bricks.
     """
-    return Partition(tuple(map(m._names, m._block_masks())))
+    return tuple(map(m._names, m._block_masks()))
 
 
 def dep_closure(m: Model, agent: str, state: str) -> frozenset:
@@ -347,13 +335,13 @@ def dep_closure(m: Model, agent: str, state: str) -> frozenset:
     return m._names(m._closure_at(agent)[m._frame.index[state]])
 
 
-def dep_partition(m: Model, agent: str, state: str) -> Partition:
-    """The dependence relation at `state` as a partition: cl_a(w) is one
-    class, and every block outside it stays its own class."""
+def dep_partition(m: Model, agent: str, state: str) -> tuple:
+    """The dependence relation at `state` as a tuple of classes: cl_a(w) is
+    one class, and every block outside it stays its own class."""
     cl = m._closure_at(agent)[m._frame.index[state]]
     # cl is a union of blocks, so it takes the place of its first block
     pieces = dict.fromkeys(cl if b & cl else b for b in m._block_masks())
-    return Partition(tuple(map(m._names, pieces)))
+    return tuple(map(m._names, pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +404,13 @@ def load(text, strict: bool = False) -> Model:
     transitivity; in strict mode the listed pairs must already be the full
     closure (loops included).  Ideal pairs are closed under symmetry.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    if isinstance(text, str):
+    if isinstance(text, (bytes, str)):
         try:
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as e:  # nesting past the recursion limit
             raise ModelError("invalid JSON: %s" % e) from None
     else:
         data = text

@@ -134,23 +134,17 @@ def enumerate_models(max_states: int, n_agents: int, n_atoms: int,
                    for s, code in zip(states, codes)}
             for rels in itertools.product(parts, repeat=n_agents):
                 rel = dict(zip(agents, rels))
-                m = Model(states, agents, atoms, rel, val,
-                          point="w0", validate=False)
+                ideals = [None]
                 if deontic:
-                    yield from _deontic_variants(m)
-                else:
-                    yield m
-
-
-def _deontic_variants(m: Model):
-    # one variant per single ideal pair, plus the full attainable ideal
-    cand = _ideal_candidates(m.agents, m.rel)
-    for pair in cand:
-        yield Model(m.states, m.agents, m.atoms, m.rel, m.val,
-                    ideal=(pair,), point=m.point, validate=False)
-    if len(cand) > 1:
-        yield Model(m.states, m.agents, m.atoms, m.rel, m.val,
-                    ideal=tuple(cand), point=m.point, validate=False)
+                    # one variant per single ideal pair, plus the full
+                    # attainable ideal
+                    cand = _ideal_candidates(agents, rel)
+                    ideals = [(pair,) for pair in cand]
+                    if len(cand) > 1:
+                        ideals.append(tuple(cand))
+                for ideal in ideals:
+                    yield Model(states, agents, atoms, rel, val, ideal=ideal,
+                                point="w0", validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ those.  Merging isomorphic nodes as well would not change the plan: a share
 anchored at the point commutes with every isomorphism that fixes the point,
 so an isomorphic duplicate satisfies the goal exactly when the earlier node
 it copies does, and breadth-first order reaches that node first.
+
+One map, `came_from`, records each node reached with the node and share it
+came from; only permissible nodes enter it in a permissible search.  The
+plan is read back off that map at the goal, and each step's verdict is
+judged on the node that step made, so no model is built twice.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ def permissible_share(pm: PointedModel, sender: str, receiver: str,
     if ctx is None:
         ctx = EvalContext()
     after = share_update(m, pm.point, sender, receiver)
-    return pm.point in extension(after, OkAtom(receiver), ctx)
+    return _verdict(after, pm.point, receiver, ctx)
 
 
 def _verdict(m: Model, w: str, receiver: str, ctx: EvalContext):
@@ -88,36 +93,27 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
         ctx = EvalContext()
     pairs = [(x, y) for x in sorted(base.agents)
              for y in sorted(base.agents) if x != y]
-    seen = {base}
-    queue = deque([(base, ())])
+    came_from = {base: None}  # node -> (previous node, share)
+    queue = deque([(base, 0)])
     while queue:
-        m, steps = queue.popleft()
+        m, depth = queue.popleft()
         if w in extension(m, goal, ctx):
-            return _finish(base, w, steps, goal, ctx)
-        if max_len is not None and len(steps) >= max_len:
+            # walk back; each verdict is judged on the node its step made
+            steps, verdicts = [], []
+            while came_from[m] is not None:
+                prev, share = came_from[m]
+                steps.append(share)
+                verdicts.append(_verdict(m, w, share[1], ctx))
+                m = prev
+            return Plan(tuple(steps[::-1]), tuple(verdicts[::-1]), goal, True)
+        if max_len is not None and depth >= max_len:
             continue
-        for sender, receiver in pairs:
-            nxt = share_update(m, w, sender, receiver)
-            if nxt is m:
+        for share in pairs:
+            nxt = share_update(m, w, *share)
+            if nxt in came_from:
                 continue
-            if require_permissible and not _verdict(nxt, w, receiver, ctx):
+            if require_permissible and not _verdict(nxt, w, share[1], ctx):
                 continue
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            queue.append((nxt, steps + ((sender, receiver),)))
+            came_from[nxt] = (m, share)
+            queue.append((nxt, depth + 1))
     return None
-
-
-def _finish(base: Model, w: str, steps: tuple, goal: Formula,
-            ctx: EvalContext) -> Plan:
-    # replay from scratch; the verdict of each step is taken when executed
-    m = base
-    verdicts = []
-    for sender, receiver in steps:
-        m = share_update(m, w, sender, receiver)
-        verdicts.append(_verdict(m, w, receiver, ctx))
-    achieved = w in extension(m, goal, ctx)
-    if not achieved:
-        raise RuntimeError("plan replay failed to reach the goal")
-    return Plan(tuple(steps), tuple(verdicts), goal, achieved)

@@ -17,40 +17,35 @@ from .kripke import Model
 SERVICE_DESK_IDEAL = (("s1", "s0"), ("s3", "s0"))
 
 
+# the service desk as `Model` arguments, shared by its plain and deontic forms
+_SERVICE_DESK = dict(
+    states=("s0", "s1", "s2", "s3", "s4"),
+    agents=("a", "b", "c"),
+    atoms=("p", "q", "r"),
+    rel={
+        "a": ({"s0", "s1", "s2"}, {"s3"}, {"s4"}),
+        "b": ({"s0", "s3", "s4"}, {"s1"}, {"s2"}),
+        "c": ({"s0", "s1", "s2", "s3", "s4"},),
+    },
+    val={
+        "s0": {"p", "q", "r"},
+        "s1": {"p", "q"},
+        "s2": {"q", "r"},
+        "s3": {"p"},
+        "s4": set(),
+    },
+    point="s0",
+)
+
+
 def service_desk() -> Model:
     """Two servers and one customer; the servers partition the rule space."""
-    return Model(
-        states=("s0", "s1", "s2", "s3", "s4"),
-        agents=("a", "b", "c"),
-        atoms=("p", "q", "r"),
-        rel={
-            "a": ({"s0", "s1", "s2"}, {"s3"}, {"s4"}),
-            "b": ({"s0", "s3", "s4"}, {"s1"}, {"s2"}),
-            "c": ({"s0", "s1", "s2", "s3", "s4"},),
-        },
-        val={
-            "s0": {"p", "q", "r"},
-            "s1": {"p", "q"},
-            "s2": {"q", "r"},
-            "s3": {"p"},
-            "s4": set(),
-        },
-        point="s0",
-    )
+    return Model(**_SERVICE_DESK)
 
 
 def service_desk_deontic() -> Model:
     """The service desk with the two legitimate transitions marked ideal."""
-    m = service_desk()
-    return Model(
-        states=m.states,
-        agents=m.agents,
-        atoms=m.atoms,
-        rel=m.rel,
-        val=m.val,
-        ideal=SERVICE_DESK_IDEAL,
-        point=m.point,
-    )
+    return Model(**_SERVICE_DESK, ideal=SERVICE_DESK_IDEAL)
 
 
 def overlap() -> Model:

@@ -12,8 +12,10 @@ expanded again.
 
 Evaluation works on state masks (see `kripke`): one rule per kernel node
 type maps a model and a node to the mask of the states where it holds, the
-update memo is keyed by the receiver's cell and the sender's closure as
+update memo is keyed by the receiver, its cell and the sender's closure as
 masks, and state names appear only in what `extension` and `check` return.
+The sender is not in that key: `share_update` reads it only through its
+closure, so senders with equal closures share one updated model.
 """
 
 from __future__ import annotations
@@ -37,20 +39,20 @@ class EvalError(ValueError):
 class EvalContext:
     """Shared memo across evaluations: one dict per model, keyed by the
     model.  A model's dict maps a kernel node to its extension mask,
-    `(sender, receiver, cell, closure)` to the updated model and
-    `frozenset(group)` to the resolved model; these key types never compare
-    equal.  With debug=True every cache hit is re-derived and compared,
-    trading speed for a self-check."""
+    `(receiver, cell, closure)` to the updated model and `frozenset(group)`
+    to the resolved model; these key types never compare equal.  With
+    debug=True every cache hit is re-derived, an update with the caller's
+    own sender, and compared, trading speed for a self-check."""
 
     def __init__(self, debug: bool = False):
         self.debug = debug
         self._memo = defaultdict(dict)
 
     def updated(self, m: Model, w: str, sender: str, receiver: str) -> Model:
-        # the update depends on the state only through (cell, closure)
+        # the update depends on the state and the sender only through
+        # (cell, closure)
         i = m._frame.index[w]
-        key = (sender, receiver, m._cell_at[receiver][i],
-               m._closure_at(sender)[i])
+        key = (receiver, m._cell_at[receiver][i], m._closure_at(sender)[i])
         return self._model(m, key, share_update, w, sender, receiver)
 
     def resolved(self, m: Model, group: tuple) -> Model:

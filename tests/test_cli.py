@@ -124,6 +124,14 @@ class TestValidate:
         bad.write_text(json.dumps(data))
         assert main(["validate", "--model", str(bad)]) == 2
 
+    @pytest.mark.parametrize("text", [b"[" * 200_000, b"\xff{}"],
+                             ids=["too_deep", "undecodable"])
+    def test_unreadable_json_exits_2(self, files, capsys, text):
+        bad = files["dir"] / "bad.json"
+        bad.write_bytes(text)
+        assert main(["validate", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
     @pytest.mark.parametrize("key, value", [
         ("agents", 5), ("agents", "abc"), ("atoms", "pqr"),
         ("ideal", [[["s0"], "s0"]]), ("relations", {"a": [["s0", ["s1"]]]}),

@@ -169,6 +169,12 @@ class TestSerialization:
         with pytest.raises(ModelError):
             load(b"[1, 2]")
 
+    @pytest.mark.parametrize("text", [b"[" * 200_000, b"\xff{}"],
+                             ids=["too_deep", "undecodable"])
+    def test_unreadable_json_is_a_model_error(self, text):
+        with pytest.raises(ModelError, match="^invalid JSON: "):
+            load(text)
+
     @staticmethod
     def shuffled():
         # states out of name order, cells given out of state order, a

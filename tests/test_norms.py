@@ -5,11 +5,13 @@ import time
 import pytest
 
 from knowpool.formula import agents_of, parse
+from knowpool import norms
 from knowpool.kripke import Model, pointed
 from knowpool.lab import GenConfig, gen_model
 from knowpool.norms import Plan, permissible_share, plan
 from knowpool.presets import PRESETS, service_desk, service_desk_deontic
 from knowpool.semantics import EvalError
+from knowpool.update import share_update
 
 from oracles import fingerprint_plan
 
@@ -85,6 +87,23 @@ class TestPlan:
         assert out is not None
         assert out.steps == (("a", "c"),)
         assert out.verdicts == (None,)
+
+
+@pytest.mark.parametrize("build, text, perm", [
+    (service_desk_deontic, "K{c}(p->q)", True),
+    (service_desk, "K{c}(p->r)", False)], ids=["permissible", "free"])
+def test_a_found_plan_builds_each_update_once(monkeypatch, build, text, perm):
+    # the plan is read off the search, not replayed from the start model
+    built = []
+
+    def counting(m, w, sender, receiver):
+        built.append((m, sender, receiver))
+        return share_update(m, w, sender, receiver)
+
+    monkeypatch.setattr(norms, "share_update", counting)
+    out = plan(pointed(build()), parse(text), require_permissible=perm)
+    assert out is not None and len(out) >= 1
+    assert len(built) == len(set(built))
 
 
 def _same_as_oracle(pm, goal, perm):

@@ -168,6 +168,18 @@ class TestContext:
         assert ctx.updated(m, "s0", "a", "c") is ctx.updated(m, "s1", "a", "c")
         assert ctx.updated(m, "s0", "a", "c") != ctx.updated(m, "s3", "a", "c")
 
+    def test_senders_with_equal_closures_share_one_update(self):
+        # a and b hold one partition, so their closures agree at every
+        # state and a share from either builds the same model
+        m = Model(("w0", "w1", "w2"), ("a", "b", "c"), ("p", "q"),
+                  {"a": ({"w0"}, {"w1", "w2"}), "b": ({"w0"}, {"w1", "w2"}),
+                   "c": ({"w0", "w1", "w2"},)},
+                  {"w0": {"p"}, "w1": {"q"}}, point="w0")
+        ctx = EvalContext(debug=True)
+        for w in m.states:
+            assert ctx.updated(m, w, "a", "c") is ctx.updated(m, w, "b", "c")
+        assert ctx.updated(m, "w0", "b", "c") != m
+
     def test_debug_context_agrees_with_fresh(self):
         facts = ["[a>c]K{c}(p->q)", "Rk{a,b,c}E{a,b,c}(p->q)", "K{c|a,b}q"]
         m = service_desk()
