@@ -20,7 +20,7 @@ from .norms import Plan, permissible_share, plan
 from .presets import PRESETS, overlap, service_desk, service_desk_deontic
 from .semantics import (CheckResult, EvalContext, EvalError, check,
                         extension, global_truth)
-from .update import ShareStep, apply_sequence, resolve_update, share_update
+from .update import apply_sequence, resolve_update, share_update
 
 __version__ = "0.1.0"
 
@@ -28,8 +28,8 @@ __all__ = [
     "Atom", "Bot", "CheckResult", "DEFAULT_CONFIG", "EvalContext",
     "EvalError", "Formula", "FormulaError", "GOLDEN_FACTS", "GenConfig",
     "IdealAtom", "LabReport", "Model", "ModelError", "OkAtom", "PRESETS",
-    "ParseError", "Plan", "PointedModel", "SCHEMAS", "Schema",
-    "ShareStep", "Top", "apply_sequence", "atoms_partition", "check",
+    "ParseError", "Plan", "PointedModel", "SCHEMAS", "Schema", "Top",
+    "apply_sequence", "atoms_partition", "check",
     "check_fact", "check_schema", "compare_readings", "dep_closure",
     "dep_partition", "enumerate_models", "expand", "extension",
     "fingerprint", "gen_model", "global_truth", "instantiate",

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .formula import FormulaError, parse, print_formula
-from .kripke import ModelError, PointedModel, load, save
+from .kripke import ModelError, load, pointed, save
 from .lab import DEFAULT_CONFIG, SCHEMAS, check_schema, run_reference_suite
 from .norms import plan as search_plan
 from .semantics import CheckResult, EvalError, check
@@ -32,15 +32,6 @@ def _load_model(path: str):
             return load(fh.read())
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc.strerror or exc))
-
-
-def _anchored(model, state):
-    at = state if state is not None else model.point
-    if at is None:
-        raise CliError("model has no point; pass --state")
-    if at not in model.states:
-        raise CliError("unknown state %r" % (at,))
-    return PointedModel(model, at)
 
 
 def _count(text: str) -> int:
@@ -87,7 +78,7 @@ def _innermost_state(result: CheckResult):
 
 
 def cmd_check(args) -> int:
-    pm = _anchored(_load_model(args.model), args.state)
+    pm = pointed(_load_model(args.model), args.state)
     result = check(pm, parse(args.formula))
     print("true" if result else "false")
     if not result:
@@ -98,7 +89,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_update(args) -> int:
-    pm = _anchored(_load_model(args.model), args.state)
+    pm = pointed(_load_model(args.model), args.state)
     out = apply_sequence(pm, _parse_shares(args.share))
     data = save(out.model)
     try:
@@ -111,7 +102,7 @@ def cmd_update(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    pm = _anchored(_load_model(args.model), args.state)
+    pm = pointed(_load_model(args.model), args.state)
     goal = parse(args.goal)
     found = search_plan(pm, goal, max_len=args.max,
                         require_permissible=not args.free)

@@ -274,8 +274,9 @@ class Model:
         new._blocks = new._closure = new._hash = None
         return new
 
-    # -- equality by content: states, agents and atoms as sets; bits follow
-    # state names, so equal partitions hold equal masks
+    # -- equality by content: states and atoms as sets, agents as the keys
+    # of `_cell_at`, which has one per agent; bits follow state names, so
+    # equal partitions hold equal masks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Model):
@@ -284,7 +285,6 @@ class Model:
                 and self._cell_at == other._cell_at
                 and self.point == other.point
                 and self.val == other.val and self.ideal == other.ideal
-                and set(self.agents) == set(other.agents)
                 and set(self.atoms) == set(other.atoms))
 
     def __hash__(self) -> int:
@@ -398,22 +398,19 @@ def _closure_cells(states, pairs, label, strict):
 
 
 def load(text, strict: bool = False) -> Model:
-    """Read a model from JSON bytes/text.
+    """Read a model from JSON text or UTF-8 bytes.
 
     Relation pair lists are closed under reflexivity, symmetry, and
     transitivity; in strict mode the listed pairs must already be the full
     closure (loops included).  Ideal pairs are closed under symmetry.
     """
-    if isinstance(text, (bytes, str)):
-        try:
-            if isinstance(text, bytes):
-                text = text.decode("utf-8")
-            data = json.loads(text)
-        except (UnicodeDecodeError, json.JSONDecodeError,
-                RecursionError) as e:  # nesting past the recursion limit
-            raise ModelError("invalid JSON: %s" % e) from None
-    else:
-        data = text
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        data = json.loads(text)
+    except (TypeError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as e:  # nesting past the recursion limit
+        raise ModelError("invalid JSON: %s" % e) from None
     if not isinstance(data, dict):
         raise ModelError("model file must be a JSON object")
     unknown = sorted(set(data) - set(_ALLOWED_KEYS))
@@ -454,8 +451,6 @@ def load(text, strict: bool = False) -> Model:
     try:
         return Model(states, data["agents"], data["atoms"], rel, valuation,
                      ideal, data.get("point"))
-    except ModelError:
-        raise
     except (TypeError, AttributeError) as e:
         raise ModelError("malformed model data: %s" % e) from None
 

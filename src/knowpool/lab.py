@@ -154,92 +154,92 @@ def enumerate_models(max_states: int, n_agents: int, n_atoms: int,
 @dataclass(frozen=True)
 class SchemaSpec:
     name: str
-    expect: str                   # "valid" | "invalid" | "report" | "rule"
-    template: str | None = None   # a rule's is "(premise) -> (conclusion)"
+    template: str | None          # None runs the checker `_CHECKERS[name]`;
+                                  # a rule's is "(premise) -> (conclusion)"
+    expect: str = "valid"         # "valid" | "invalid" | "report" | "rule"
     guard: str | None = None      # None | "boolean" | "atom"
     deontic: bool = False
     free: tuple = ()              # agent placeholders that may repeat
-    checker: str | None = None    # key into the custom checker table
-
-
-def _axiom(name, template, expect="valid", guard=None, deontic=False,
-           free=()):
-    return SchemaSpec(name, expect, template=template, guard=guard,
-                      deontic=deontic, free=free)
 
 
 def _rule(name, premise, conclusion, deontic=False):
-    return SchemaSpec(name, "rule",
-                      template="(%s) -> (%s)" % (premise, conclusion),
+    return SchemaSpec(name, "(%s) -> (%s)" % (premise, conclusion), "rule",
                       deontic=deontic)
 
 
 _SPECS = (
     # S5 for plain knowledge
-    _axiom("kt", "K{A}PHI -> PHI"),
-    _axiom("k4", "K{A}PHI -> K{A}K{A}PHI"),
-    _axiom("k5", "~K{A}PHI -> K{A}~K{A}PHI"),
+    SchemaSpec("kt", "K{A}PHI -> PHI"),
+    SchemaSpec("k4", "K{A}PHI -> K{A}K{A}PHI"),
+    SchemaSpec("k5", "~K{A}PHI -> K{A}~K{A}PHI"),
     # S5 for dependent knowledge
-    _axiom("akt", "K{A|B}PHI -> PHI"),
-    _axiom("ak4", "K{A|B}PHI -> K{A|B}K{A|B}PHI"),
-    _axiom("ak5", "~K{A|B}PHI -> K{A|B}~K{A|B}PHI"),
+    SchemaSpec("akt", "K{A|B}PHI -> PHI"),
+    SchemaSpec("ak4", "K{A|B}PHI -> K{A|B}K{A|B}PHI"),
+    SchemaSpec("ak5", "~K{A|B}PHI -> K{A|B}~K{A|B}PHI"),
     # S5 for distributed knowledge
-    _axiom("dt", "D{A,B}PHI -> PHI"),
-    _axiom("d4", "D{A,B}PHI -> D{A,B}D{A,B}PHI"),
-    _axiom("d5", "~D{A,B}PHI -> D{A,B}~D{A,B}PHI"),
+    SchemaSpec("dt", "D{A,B}PHI -> PHI"),
+    SchemaSpec("d4", "D{A,B}PHI -> D{A,B}D{A,B}PHI"),
+    SchemaSpec("d5", "~D{A,B}PHI -> D{A,B}~D{A,B}PHI"),
     # dependence sits between individual and distributed knowledge
-    _axiom("int", "K{A}PHI -> K{A|B}PHI"),
-    _axiom("chain_dep", "K{B}PHI -> K{B|A}PHI"),
-    _axiom("chain_dist", "K{B|A}PHI -> D{A,B}PHI"),
-    SchemaSpec("cl", "valid", checker="cl"),
+    SchemaSpec("int", "K{A}PHI -> K{A|B}PHI"),
+    SchemaSpec("chain_dep", "K{B}PHI -> K{B|A}PHI"),
+    SchemaSpec("chain_dist", "K{B|A}PHI -> D{A,B}PHI"),
+    SchemaSpec("cl", None),
     # the share box is a functional update
-    _axiom("inv", "(PHI -> [A>B]PHI) & (~PHI -> [A>B]~PHI)", guard="atom"),
-    _axiom("rev", "~[A>B]PHI -> [A>B]~PHI"),
-    _axiom("d_share", "[A>B]~PHI -> ~[A>B]PHI"),
-    _axiom("k_share", "[A>B](PHI -> PSI) -> ([A>B]PHI -> [A>B]PSI)"),
-    _axiom("c_share", "[A>B]PHI & [A>B]PSI -> [A>B](PHI & PSI)"),
-    _axiom("rep", "[A>B]PHI <-> [A>B][A>B]PHI", expect="report"),
+    SchemaSpec("inv", "(PHI -> [A>B]PHI) & (~PHI -> [A>B]~PHI)",
+               guard="atom"),
+    SchemaSpec("rev", "~[A>B]PHI -> [A>B]~PHI"),
+    SchemaSpec("d_share", "[A>B]~PHI -> ~[A>B]PHI"),
+    SchemaSpec("k_share", "[A>B](PHI -> PSI) -> ([A>B]PHI -> [A>B]PSI)"),
+    SchemaSpec("c_share", "[A>B]PHI & [A>B]PSI -> [A>B](PHI & PSI)"),
+    SchemaSpec("rep", "[A>B]PHI <-> [A>B][A>B]PHI", expect="report"),
     # interaction of sharing with knowledge
-    SchemaSpec("int_plus", "valid", checker="int_plus"),
-    _axiom("int_lower", "K{B}[A>B]PHI -> [A>B]K{B}PHI"),
-    _axiom("int_minus", "[A>B]K{C}PHI <-> K{C}[A>B]PHI"),
-    _axiom("dist", "[A>B]K{B}PHI -> D{A,B}[A>B]PHI"),
-    _axiom("boolean", "PHI <-> [A>B]PHI", guard="boolean"),
-    _axiom("remain", "K{C}PHI -> [A>B]K{C}PHI", guard="boolean"),
-    _axiom("sharing", "K{A}PHI -> [A>B]K{B}PHI", guard="boolean"),
-    _axiom("step", "[A>B]K{B}PHI -> [A>B][B>C]K{C}PHI", guard="boolean"),
-    _axiom("int_r", "Rk{A,B}K{A}PHI -> Ri{A,B}K{A}PHI", guard="boolean"),
+    SchemaSpec("int_plus", None),
+    SchemaSpec("int_lower", "K{B}[A>B]PHI -> [A>B]K{B}PHI"),
+    SchemaSpec("int_minus", "[A>B]K{C}PHI <-> K{C}[A>B]PHI"),
+    SchemaSpec("dist", "[A>B]K{B}PHI -> D{A,B}[A>B]PHI"),
+    SchemaSpec("boolean", "PHI <-> [A>B]PHI", guard="boolean"),
+    SchemaSpec("remain", "K{C}PHI -> [A>B]K{C}PHI", guard="boolean"),
+    SchemaSpec("sharing", "K{A}PHI -> [A>B]K{B}PHI", guard="boolean"),
+    SchemaSpec("step", "[A>B]K{B}PHI -> [A>B][B>C]K{C}PHI",
+               guard="boolean"),
+    SchemaSpec("int_r", "Rk{A,B}K{A}PHI -> Ri{A,B}K{A}PHI",
+               guard="boolean"),
     # the pooling chain for guarded formulas
-    _axiom("pool_everybody_elim", "E{A,B}PHI -> K{A}PHI", guard="boolean"),
-    _axiom("pool_know_first", "K{A}PHI -> Rk{A;A,B}E{A,B}PHI",
-           guard="boolean"),
-    _axiom("pool_forward_to_round", "Rk{A;A,B}E{A,B}PHI -> Rk{A,B}E{A,B}PHI",
-           guard="boolean"),
-    _axiom("pool_everybody_to_round", "E{A,B}PHI -> Rk{A,B}E{A,B}PHI",
-           guard="boolean"),
-    _axiom("pool_round_to_resolve", "Rk{A,B}E{A,B}PHI -> Ri{A,B}E{A,B}PHI",
-           guard="boolean"),
+    SchemaSpec("pool_everybody_elim", "E{A,B}PHI -> K{A}PHI",
+               guard="boolean"),
+    SchemaSpec("pool_know_first", "K{A}PHI -> Rk{A;A,B}E{A,B}PHI",
+               guard="boolean"),
+    SchemaSpec("pool_forward_to_round",
+               "Rk{A;A,B}E{A,B}PHI -> Rk{A,B}E{A,B}PHI", guard="boolean"),
+    SchemaSpec("pool_everybody_to_round", "E{A,B}PHI -> Rk{A,B}E{A,B}PHI",
+               guard="boolean"),
+    SchemaSpec("pool_round_to_resolve",
+               "Rk{A,B}E{A,B}PHI -> Ri{A,B}E{A,B}PHI", guard="boolean"),
     # static permission
-    SchemaSpec("o_poss", "valid", deontic=True, checker="o_poss"),
-    _axiom("p_rfc", "P{A}PHI & P{A}PSI -> P{A}(PHI | PSI)", deontic=True),
-    _axiom("p_mc", "P{A}(PHI & PSI) <-> P{A}PHI & P{A}PSI", deontic=True),
-    _axiom("p_k", "P{A}(PHI -> PSI) -> (P{A}PHI -> P{A}PSI)", deontic=True),
-    _axiom("p_d", "~P{A}false", deontic=True),
-    _axiom("p_t", "P{A}PHI -> PHI", deontic=True),
-    _axiom("p_4", "P{A}PHI -> P{A}P{A}PHI", deontic=True),
-    _axiom("p_5", "~P{A}~PHI -> P{A}~P{A}~PHI", expect="invalid",
-           deontic=True),
-    _axiom("fcp1", "P{A}(PHI | PSI) -> P{A}PHI & P{A}PSI", expect="invalid",
-           deontic=True),
-    _axiom("fcp2", "P{A}PHI -> P{A}(PHI & PSI)", expect="invalid",
-           deontic=True),
+    SchemaSpec("o_poss", None, deontic=True),
+    SchemaSpec("p_rfc", "P{A}PHI & P{A}PSI -> P{A}(PHI | PSI)",
+               deontic=True),
+    SchemaSpec("p_mc", "P{A}(PHI & PSI) <-> P{A}PHI & P{A}PSI",
+               deontic=True),
+    SchemaSpec("p_k", "P{A}(PHI -> PSI) -> (P{A}PHI -> P{A}PSI)",
+               deontic=True),
+    SchemaSpec("p_d", "~P{A}false", deontic=True),
+    SchemaSpec("p_t", "P{A}PHI -> PHI", deontic=True),
+    SchemaSpec("p_4", "P{A}PHI -> P{A}P{A}PHI", deontic=True),
+    SchemaSpec("p_5", "~P{A}~PHI -> P{A}~P{A}~PHI", expect="invalid",
+               deontic=True),
+    SchemaSpec("fcp1", "P{A}(PHI | PSI) -> P{A}PHI & P{A}PSI",
+               expect="invalid", deontic=True),
+    SchemaSpec("fcp2", "P{A}PHI -> P{A}(PHI & PSI)", expect="invalid",
+               deontic=True),
     # dynamic permission
-    _axiom("perm_transfer", "[A>B]Perm(B>C) -> Perm(A>C)", deontic=True),
-    SchemaSpec("perm_sender_swap", "valid", deontic=True,
-               checker="perm_sender_swap"),
-    _axiom("perm_receiver_swap",
-           "(K{B}PHI <-> K{C}PHI) -> (Perm(A>B) <-> Perm(A>C))",
-           expect="invalid", deontic=True, free=("A",)),
+    SchemaSpec("perm_transfer", "[A>B]Perm(B>C) -> Perm(A>C)",
+               deontic=True),
+    SchemaSpec("perm_sender_swap", None, deontic=True),
+    SchemaSpec("perm_receiver_swap",
+               "(K{B}PHI <-> K{C}PHI) -> (Perm(A>B) <-> Perm(A>C))",
+               expect="invalid", deontic=True, free=("A",)),
     # inference rules, per-model form
     _rule("ns", "PHI", "[A>B]PHI"),
     _rule("nec_a", "PHI", "K{A|B}PHI"),
@@ -269,7 +269,12 @@ class LabReport:
     instances: int
     verdict: str                  # "valid-on-sample" | "countermodel"
     countermodel: tuple | None    # (model, instance, state)
-    note: str | None = None
+
+    @property
+    def note(self) -> str | None:
+        if self.expect == "rule" and self.verdict == "countermodel":
+            return "rule-form failure (per-model)"
+        return None
 
     @property
     def as_expected(self) -> bool:
@@ -352,8 +357,8 @@ class Lab:
         the schema needs are skipped and not counted.
         """
         spec = SCHEMAS[name]
-        if spec.checker is not None:
-            cases, need = _CHECKERS[spec.checker]
+        if spec.template is None:
+            cases, need = _CHECKERS[name]
         else:
             cases, need = self._template_cases(spec)
         bank = self.invalidity_bank() if spec.expect == "invalid" \
@@ -371,12 +376,9 @@ class Lab:
                     break
             if found:
                 break
-        note = None
-        if found and spec.expect == "rule":
-            note = "rule-form failure (per-model)"
         verdict = "countermodel" if found else "valid-on-sample"
         return LabReport(spec.name, spec.expect, models, instances,
-                         verdict, found, note)
+                         verdict, found)
 
     def _template_cases(self, spec: SchemaSpec):
         # An axiom's case is an instance.  A rule's is an instance of its
@@ -465,7 +467,7 @@ def _perm_sender_swap_cases(m: Model, ctx: EvalContext):
             yield _refuted(m, inst, ctx)
 
 
-# checker key -> (case generator, agents a model needs)
+# schema name -> (case generator, agents a model needs)
 _CHECKERS = {
     "cl": (_cl_cases, 2),
     "int_plus": (_int_plus_cases, 2),

@@ -13,19 +13,9 @@ relation with the model it starts from and validates nothing again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .kripke import Model, ModelError, PointedModel, _meet, _members
-
-
-@dataclass(frozen=True)
-class ShareStep:
-    """One sharing act, anchored at the state where it happens."""
-
-    sender: str
-    receiver: str
-    at: str
 
 
 def _check_agent(m: Model, a: str) -> None:
@@ -68,16 +58,10 @@ def resolve_update(m: Model, group: Iterable) -> Model:
 
 
 def apply_sequence(pm: PointedModel, steps: Iterable) -> PointedModel:
-    """Fold share updates left to right, each anchored at the point."""
+    """Fold `(sender, receiver)` share updates left to right, each anchored
+    at the point; the same pointed model if no step changes anything."""
     m = pm.model
-    for step in steps:
-        if isinstance(step, ShareStep):
-            if step.at != pm.point:
-                raise ModelError("step anchored at %r, point is %r"
-                                 % (step.at, pm.point))
-            sender, receiver = step.sender, step.receiver
-        else:
-            sender, receiver = step
+    for sender, receiver in steps:
         m = share_update(m, pm.point, sender, receiver)
     if m is pm.model:
         return pm

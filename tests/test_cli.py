@@ -85,6 +85,24 @@ class TestCheck:
             err = capsys.readouterr().err
             assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["check", "update", "plan"])
+    def test_bad_anchors_exit_2(self, files, capsys, command):
+        argv = [command] + {
+            "check": ["--formula", "p"],
+            "update": ["--share", "a>c", "--out",
+                       str(files["dir"] / "out.json")],
+            "plan": ["--goal", "K{c}(p->q)"]}[command]
+        data = json.loads(save(service_desk()))
+        del data["point"]
+        pointless = files["dir"] / "pointless.json"
+        pointless.write_text(json.dumps(data))
+        assert main(argv + ["--model", str(pointless)]) == 2
+        assert capsys.readouterr().err == \
+            "error: no evaluation point given and the model has none\n"
+        assert main(argv + ["--model", files["plain"], "--state", "zz"]) == 2
+        assert capsys.readouterr().err == \
+            "error: point 'zz' is not a state\n"
+
     @pytest.mark.parametrize("head, size, model", [
         ("E", 600, "plain"), ("Rk", 400, "wide")], ids=["E-600", "Rk-400"])
     def test_deep_expansion_is_an_error(self, files, capsys, head, size,
@@ -131,6 +149,19 @@ class TestValidate:
         bad.write_bytes(text)
         assert main(["validate", "--model", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(agents=[["a"]], relations={}),
+        lambda d: d["valuation"].update(s0=[1, "x"]),
+    ], ids=["list_agent", "mixed_atoms"])
+    def test_malformed_model_data_exits_2(self, files, capsys, mutate):
+        bad = files["dir"] / "bad.json"
+        data = json.loads(save(service_desk()))
+        mutate(data)
+        bad.write_text(json.dumps(data))
+        assert main(["validate", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: malformed model data: ")
 
     @pytest.mark.parametrize("key, value", [
         ("agents", 5), ("agents", "abc"), ("atoms", "pqr"),

@@ -169,11 +169,25 @@ class TestSerialization:
         with pytest.raises(ModelError):
             load(b"[1, 2]")
 
-    @pytest.mark.parametrize("text", [b"[" * 200_000, b"\xff{}"],
-                             ids=["too_deep", "undecodable"])
+    @pytest.mark.parametrize("text", [
+        b"[" * 200_000, b"\xff{}",
+        {"states": ["u"], "agents": [], "atoms": [], "relations": {},
+         "valuation": {}},
+    ], ids=["too_deep", "undecodable", "decoded"])
     def test_unreadable_json_is_a_model_error(self, text):
         with pytest.raises(ModelError, match="^invalid JSON: "):
             load(text)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(agents=[["a"]], relations={}),
+        lambda d: d["valuation"].update(s0=[1, "x"]),
+    ], ids=["list_agent", "mixed_atoms"])
+    def test_malformed_model_data_is_a_model_error(self, mutate):
+        # shapes that pass the key checks but break the model's own
+        data = json.loads(save(service_desk()))
+        mutate(data)
+        with pytest.raises(ModelError, match="^malformed model data: "):
+            load(json.dumps(data))
 
     @staticmethod
     def shuffled():

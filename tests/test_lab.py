@@ -1,5 +1,6 @@
 """Schema library, model generators, and the reference fact suite."""
 
+import dataclasses
 import gc
 
 import pytest
@@ -10,9 +11,9 @@ from knowpool.formula import (K, OkAtom, Schema, _walk, expand, instantiate,
 from knowpool.kripke import Model, PointedModel
 from knowpool.lab import (DEFAULT_CONFIG, GOLDEN_FACTS, REQUIRED_INVALID,
                           REQUIRED_VALID, REPORT_ONLY, RULES, SCHEMAS,
-                          GenConfig, Lab, check_fact, check_schema,
-                          compare_readings, enumerate_models, gen_model,
-                          run_reference_suite, _pool_for,
+                          GenConfig, Lab, LabReport, check_fact,
+                          check_schema, compare_readings, enumerate_models,
+                          gen_model, run_reference_suite, _pool_for,
                           _possibility_reading)
 from knowpool.presets import PRESETS, service_desk_deontic
 from knowpool.semantics import extension
@@ -34,6 +35,31 @@ class TestRegistry:
                                          "perm_receiver_swap"}
         assert {"ns", "nec_a", "rk", "p_nec"} <= set(RULES)
         assert set(REPORT_ONLY) == {"rep"}
+
+
+    def test_template_less_specs_name_their_checkers(self):
+        # a spec names its checker by its own name, not by a field
+        assert [f.name for f in dataclasses.fields(lab.SchemaSpec)] == \
+            ["name", "template", "expect", "guard", "deontic", "free"]
+        assert {s.name for s in SCHEMAS.values() if s.template is None} \
+            == set(lab._CHECKERS)
+
+
+def _report(expect, verdict):
+    # fields as a caller outside the lab builds them: no note
+    return LabReport("x", expect, 1, 1, verdict, None)
+
+
+class TestReport:
+    def test_note_reads_only_a_refuted_rule(self):
+        assert "rule-form" in _report("rule", "countermodel").note
+        assert _report("rule", "valid-on-sample").note is None
+        assert _report("invalid", "countermodel").note is None
+
+    @pytest.mark.parametrize("expect", ["rule", "report"])
+    def test_rules_and_reports_are_always_as_expected(self, expect):
+        assert _report(expect, "countermodel").as_expected
+        assert _report(expect, "valid-on-sample").as_expected
 
 
 class TestSchemaChecks:

@@ -10,8 +10,7 @@ from knowpool.kripke import Model, ModelError, dep_closure, pointed
 from knowpool.lab import GenConfig, gen_model
 from knowpool.presets import overlap, service_desk, service_desk_deontic
 from knowpool.semantics import extension
-from knowpool.update import (ShareStep, apply_sequence, resolve_update,
-                             share_update)
+from knowpool.update import apply_sequence, resolve_update, share_update
 
 from oracles import (permuted, reference_resolve_update,
                      reference_share_update)
@@ -189,11 +188,14 @@ class TestSequence:
         assert out.point == "s0"
 
     def test_share_step_anchor_checked(self):
+        # a pair step is anchored at the point, whichever point that is
         pm = pointed(service_desk_deontic())
-        ok = apply_sequence(pm, [ShareStep("a", "c", "s0")])
+        ok = apply_sequence(pm, [("a", "c")])
         assert ok.model.ideal == pm.model.ideal
-        with pytest.raises(ModelError):
-            apply_sequence(pm, [ShareStep("a", "c", "s3")])
+        assert ok.model == share_update(pm.model, "s0", "a", "c")
+        at_s3 = apply_sequence(pointed(pm.model, "s3"), [("a", "c")])
+        assert at_s3.model == share_update(pm.model, "s3", "a", "c")
+        assert at_s3.model != ok.model
 
     def test_no_op_returns_same_object(self):
         pm = pointed(service_desk())
