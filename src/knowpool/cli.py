@@ -11,6 +11,7 @@ false, no plan, failed suite), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -58,12 +59,10 @@ def _parse_shares(text: str):
     steps = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ">" not in chunk:
+        sender, sep, receiver = (part.strip() for part in chunk.partition(">"))
+        if not (sender and sep and receiver):
             raise CliError("bad share %r, expected sender>receiver" % chunk)
-        sender, _, receiver = chunk.partition(">")
-        steps.append((sender.strip(), receiver.strip()))
-    if not steps:
-        raise CliError("empty share sequence")
+        steps.append((sender, receiver))
     return steps
 
 
@@ -104,6 +103,9 @@ def cmd_update(args) -> int:
 def cmd_plan(args) -> int:
     pm = pointed(_load_model(args.model), args.state)
     goal = parse(args.goal)
+    if pm.model.ideal is None and not args.free:
+        raise CliError("model has no ideal relation; pass --free for a free"
+                       " search")
     found = search_plan(pm, goal, max_len=args.max,
                         require_permissible=not args.free)
     if found is None:
@@ -175,7 +177,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first `main` call and reused: `parse_args` returns a fresh
+    # namespace each time and argparse looks up sys.stdout/stderr on print
     top = argparse.ArgumentParser(
         prog="knowpool",
         description="knowledge sharing over finite epistemic models")

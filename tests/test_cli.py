@@ -1,11 +1,12 @@
 """Command line interface: exit codes and line formats."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from knowpool.cli import main
+from knowpool.cli import build_parser, main
 from knowpool.kripke import Model, load, save
 from knowpool.presets import overlap, service_desk, service_desk_deontic
 from knowpool.update import apply_sequence
@@ -193,6 +194,16 @@ class TestUpdate:
         assert main(["update", "--model", files["plain"],
                      "--share", "ac", "--out", out]) == 2
 
+    @pytest.mark.parametrize("share, shown", [
+        (">b", ">b"), ("a>", "a>"), (" > ", ">")],
+        ids=["no_sender", "no_receiver", "neither"])
+    def test_empty_share_side(self, files, capsys, share, shown):
+        out = str(files["dir"] / "out.json")
+        assert main(["update", "--model", files["plain"],
+                     "--share", share, "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "error: bad share %r, expected sender>receiver\n" % shown
+
 
 class TestPlan:
     def test_permissible_plan(self, files, capsys):
@@ -213,6 +224,14 @@ class TestPlan:
             "1: a > b  permissible=unknown\n"
             "2: b > c  permissible=unknown\n"
             "goal=K{c}(p -> r) achieved=true\n")
+
+    def test_permissible_plan_needs_an_ideal_relation(self, files, capsys):
+        assert main(["plan", "--model", files["plain"],
+                     "--goal", "K{c}(p->r)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: model has no ideal relation; "
+                                "pass --free for a free search\n")
 
     def test_negative_max_is_a_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -302,3 +321,54 @@ def test_zero_max_states_is_a_usage_error(command, capsys):
     assert captured.out == ""
     assert "--max-states: expected at least one state, got '0'" \
         in captured.err
+
+
+class TestReusedParser:
+    """`main` reuses one parser; nothing carries from one call to the next."""
+
+    @pytest.mark.parametrize("goal, code, out", [
+        ("K{c}(p->q)", 0,
+         "1: a > c  permissible=true\ngoal=K{c}(p -> q) achieved=true\n"),
+        ("K{c}(p->r)", 1, "no plan\n")], ids=["permissible", "none"])
+    def test_free_does_not_carry_over(self, files, capsys, goal, code, out):
+        argv = ["plan", "--model", files["deontic"], "--goal", goal,
+                "--max", "4"]
+        assert main(argv + ["--free"]) == 0
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().out == out
+
+    def test_state_does_not_carry_over(self, files, capsys):
+        argv = ["check", "--model", files["plain"], "--formula", "r"]
+        assert main(argv + ["--state", "s1"]) == 1
+        assert capsys.readouterr().out == "false\n"
+        assert main(argv) == 0  # at the model's point, s0
+        assert capsys.readouterr().out == "true\n"
+
+    def test_usage_error_leaves_no_trace(self, files, capsys):
+        argv = ["validate", "--model", files["plain"]]
+        assert main(argv) == 0
+        fresh = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["lab", "--max-states", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == fresh
+
+    def test_parser_is_built_once(self, files, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        argv = ["validate", "--model", files["plain"]]
+        assert main(argv) == 0
+        first = len(built)
+        assert first > 0
+        assert main(argv) == 0
+        assert len(built) == first
