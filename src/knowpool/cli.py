@@ -15,11 +15,11 @@ import functools
 import sys
 from dataclasses import replace
 
-from .formula import FormulaError, parse, print_formula
-from .kripke import ModelError, load, pointed, save
+from .formula import parse, print_formula
+from .kripke import load, pointed, save
 from .lab import DEFAULT_CONFIG, SCHEMAS, check_schema, run_reference_suite
 from .norms import plan as search_plan
-from .semantics import CheckResult, EvalError, check
+from .semantics import CheckResult, check
 from .update import apply_sequence
 
 
@@ -49,20 +49,21 @@ def _count(text: str) -> int:
 
 def _states(text: str) -> int:
     # random models draw between one and this many states
-    if _count(text) == 0:
+    value = _count(text)
+    if value == 0:
         raise argparse.ArgumentTypeError(
             "expected at least one state, got %r" % text)
-    return int(text)
+    return value
 
 
 def _parse_shares(text: str):
     steps = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        sender, sep, receiver = (part.strip() for part in chunk.partition(">"))
-        if not (sender and sep and receiver):
+        parts = [part.strip() for part in chunk.split(">")]
+        if len(parts) != 2 or not all(parts):
             raise CliError("bad share %r, expected sender>receiver" % chunk)
-        steps.append((sender, receiver))
+        steps.append(tuple(parts))
     return steps
 
 
@@ -139,11 +140,10 @@ def _config(args):
 
 def cmd_lab(args) -> int:
     cfg = _config(args)
+    if args.schema != "all" and args.schema not in SCHEMAS:
+        raise CliError("unknown schema %r; choose from: %s"
+                       % (args.schema, ", ".join(SCHEMAS)))
     names = list(SCHEMAS) if args.schema == "all" else [args.schema]
-    for name in names:
-        if name not in SCHEMAS:
-            raise CliError("unknown schema %r; choose from: %s"
-                           % (name, ", ".join(SCHEMAS)))
     bad = 0
     for name in names:
         report = check_schema(name, cfg)
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, FormulaError, ModelError, EvalError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # the library's errors included
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:

@@ -6,10 +6,12 @@ formulas.  Two tables say how every operator is written, and the parser and
 printer both read them: `_BINARY` lists the connectives from loosest to
 tightest, and `_HEADS` the head of every other operator.
 
-Atoms and agent names are lowercase identifiers.  Uppercase identifiers that
-are not operator keywords act as schema variables: placeholder formulas in
-formula position, placeholder agents in agent position.  `expand` rewrites
-the defined operators (E, Rk, P, Ob, Perm) into the kernel language.
+Atoms and agent names are lowercase identifiers other than the keywords
+`true` and `false` (`_is_name`, which models check too).  Uppercase
+identifiers that are not operator keywords act as schema variables:
+placeholder formulas in formula position, placeholder agents in agent
+position.  `expand` rewrites the defined operators (E, Rk, P, Ob, Perm)
+into the kernel language through one table (`_DEFINED`).
 The passes over the tree read the role of each node field from one table
 (`_ROLES`), mostly through `rebuild`; the node constructors check every
 agent slot that table names, and the evaluator looks up the same slots.
@@ -50,13 +52,17 @@ class ParseError(FormulaError):
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _META_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*\Z")
-# operator keywords, which no atom, agent or schema variable may be named,
-# are read off the syntax table below (`_KEYWORDS`)
+
+
+def _is_name(name: object, meta: bool = False) -> bool:
+    """A lowercase identifier, or with `meta` an uppercase one, that is no
+    operator keyword (`_KEYWORDS`, read off the syntax table below)."""
+    return isinstance(name, str) and name not in _KEYWORDS \
+        and (_META_RE if meta else _NAME_RE).match(name) is not None
 
 
 def _check_agent(name: object) -> None:
-    if not isinstance(name, str) or name in _KEYWORDS \
-            or not (_NAME_RE.match(name) or _META_RE.match(name)):
+    if not (_is_name(name) or _is_name(name, meta=True)):
         raise FormulaError("bad agent name %r" % (name,))
 
 
@@ -149,8 +155,7 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name) \
-                or self.name in _KEYWORDS:
+        if not _is_name(self.name):
             raise FormulaError("bad atom name %r" % (self.name,))
 
 
@@ -183,8 +188,7 @@ class MetaFormula(Formula):
     name: str
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not _META_RE.match(self.name) \
-                or self.name in _KEYWORDS:
+        if not _is_name(self.name, meta=True):
             raise FormulaError("bad schema variable %r" % (self.name,))
 
 
@@ -674,17 +678,34 @@ def _show(f: Formula, outer: int) -> str:
 # macro expansion
 
 
-def _share_chain(pairs: list, body: Formula) -> Formula:
-    f = body
+def _share_chain(body: Formula, *groups: tuple) -> Formula:
+    """The forward share chain through each group in turn (each member
+    shares with the next), then the body."""
+    pairs = [pair for group in groups for pair in zip(group, group[1:])]
     for sender, receiver in reversed(pairs):
-        f = Share(sender, receiver, f)
-    return f
+        body = Share(sender, receiver, body)
+    return body
 
 
-def _round_trip_pairs(group: tuple) -> list:
-    fwd = [(group[i], group[i + 1]) for i in range(len(group) - 1)]
-    back = [(r, s) for s, r in reversed(fwd)]
-    return fwd + back
+def _everybody(f: Everybody) -> Formula:
+    body = expand(f.body)
+    return functools.reduce(And, [K(a, body) for a in f.group])
+
+
+# One kernel builder per defined operator; every other node keeps its type
+# and expands its subformulas.  A round trip chains through the group and
+# back.
+_DEFINED = {
+    Everybody: _everybody,
+    Resolution: lambda f: _share_chain(expand(f.body), f.group,
+                                       f.group[::-1]),
+    LeaderResolution: lambda f: _share_chain(expand(f.body), f.group),
+    Permitted: lambda f: And(K(f.agent, expand(f.body)), OkAtom(f.agent)),
+    Obliged: lambda f:
+        Not(And(K(f.agent, Not(expand(f.body))), OkAtom(f.agent))),
+    PermittedShare: lambda f: Share(f.sender, f.receiver,
+                                    OkAtom(f.receiver)),
+}
 
 
 # the expansion cached on a kernel node: the node itself, but a reference
@@ -701,32 +722,12 @@ def expand(f: Formula) -> Formula:
     if g is _KERNEL:
         return f
     if g is None:
-        g = _expand(f)
+        build = _DEFINED.get(type(f))
+        g = rebuild(f, expand) if build is None else build(f)
         object.__setattr__(f, "_kernel", _KERNEL if g is f else g)
         if g._kernel is None:
             object.__setattr__(g, "_kernel", _KERNEL)
     return g
-
-
-def _expand(f: Formula) -> Formula:
-    if isinstance(f, Everybody):
-        body = expand(f.body)
-        g = K(f.group[0], body)
-        for a in f.group[1:]:
-            g = And(g, K(a, body))
-        return g
-    if isinstance(f, Resolution):
-        return _share_chain(_round_trip_pairs(f.group), expand(f.body))
-    if isinstance(f, LeaderResolution):
-        fwd = [(f.group[i], f.group[i + 1]) for i in range(len(f.group) - 1)]
-        return _share_chain(fwd, expand(f.body))
-    if isinstance(f, Permitted):
-        return And(K(f.agent, expand(f.body)), OkAtom(f.agent))
-    if isinstance(f, Obliged):
-        return Not(And(K(f.agent, Not(expand(f.body))), OkAtom(f.agent)))
-    if isinstance(f, PermittedShare):
-        return Share(f.sender, f.receiver, OkAtom(f.receiver))
-    return rebuild(f, expand)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,10 @@ compare across models, so it refines ranked colours (`_refine`) instead.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-_NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+from .formula import _is_name
 
 
 class ModelError(ValueError):
@@ -143,7 +142,7 @@ class Model:
             if len(set(name)) != len(name):
                 raise ModelError("duplicate %s name" % what)
             for n in name:
-                if not isinstance(n, str) or not _NAME_RE.match(n):
+                if not _is_name(n):
                     raise ModelError("bad %s name %r" % (what, n))
         universe = frozenset(self.states)
         for a, cells in rel.items():

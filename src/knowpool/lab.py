@@ -335,19 +335,12 @@ class Lab:
         self._instances = {}
 
     def bank(self, deontic: bool):
-        key = bool(deontic)
-        if key not in self._banks:
-            n, na, nk = EXHAUSTIVE
-            models = list(enumerate_models(n, na, nk, deontic=key))
-            cfg = replace(self.cfg, deontic=key)
+        if deontic not in self._banks:
+            models = list(enumerate_models(*EXHAUSTIVE, deontic=deontic))
+            cfg = replace(self.cfg, deontic=deontic)
             models += [gen_model(cfg, i) for i in range(cfg.samples)]
-            self._banks[key] = models
-        return self._banks[key]
-
-    def invalidity_bank(self):
-        # lazy: callers stop at the first countermodel
-        n, na, nk = INVALIDITY_TIER
-        return enumerate_models(n, na, nk, deontic=True)
+            self._banks[deontic] = models
+        return self._banks[deontic]
 
     def check(self, name: str) -> LabReport:
         """Run the schema's cases model by model, up to the first refuted one.
@@ -361,8 +354,9 @@ class Lab:
             cases, need = _CHECKERS[name]
         else:
             cases, need = self._template_cases(spec)
-        bank = self.invalidity_bank() if spec.expect == "invalid" \
-            else self.bank(spec.deontic)
+        # lazy: the search stops at the first countermodel
+        bank = enumerate_models(*INVALIDITY_TIER, deontic=True) \
+            if spec.expect == "invalid" else self.bank(spec.deontic)
         models = instances = 0
         found = None
         for m in bank:
@@ -623,14 +617,12 @@ def _possibility_reading(f: Formula) -> Formula:
     return go(expand(f))
 
 
-def compare_readings(ctx: EvalContext | None = None):
+def compare_readings():
     """Evaluate the permission facts under both Ok readings."""
-    return _compare_readings(PRESETS["service_desk_deontic"](), ctx)
+    return _compare_readings(PRESETS["service_desk_deontic"](), EvalContext())
 
 
-def _compare_readings(m: Model, ctx: EvalContext | None):
-    if ctx is None:
-        ctx = EvalContext()
+def _compare_readings(m: Model, ctx: EvalContext):
     out = []
     for fact in GOLDEN_FACTS:
         if fact.model != "service_desk_deontic":

@@ -46,16 +46,13 @@ class Plan:
         return len(self.steps)
 
 
-def permissible_share(pm: PointedModel, sender: str, receiver: str,
-                      ctx: EvalContext | None = None) -> bool:
+def permissible_share(pm: PointedModel, sender: str, receiver: str) -> bool:
     """Whether sharing leaves the receiver an ideal transition at the point."""
     m = pm.model
     if m.ideal is None:
         raise EvalError("permissibility needs a model with an ideal relation")
-    if ctx is None:
-        ctx = EvalContext()
     after = share_update(m, pm.point, sender, receiver)
-    return _verdict(after, pm.point, receiver, ctx)
+    return _verdict(after, pm.point, receiver, EvalContext())
 
 
 def _verdict(m: Model, w: str, receiver: str, ctx: EvalContext):
@@ -66,8 +63,7 @@ def _verdict(m: Model, w: str, receiver: str, ctx: EvalContext):
 
 
 def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
-         require_permissible: bool = True,
-         ctx: EvalContext | None = None) -> Plan | None:
+         require_permissible: bool = True) -> Plan | None:
     """Find a shortest share sequence making `goal` true at the point.
 
     With `require_permissible` only permissible shares are considered, which
@@ -89,8 +85,7 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
     if require_permissible and base.ideal is None:
         raise EvalError("permissible planning needs an ideal relation; "
                         "pass require_permissible=False for a free search")
-    if ctx is None:
-        ctx = EvalContext()
+    ctx = EvalContext()
     pairs = [(x, y) for x in sorted(base.agents)
              for y in sorted(base.agents) if x != y]
     came_from = {base: None}  # node -> (previous node, share)

@@ -190,7 +190,6 @@ def _need_ideal(m: Model, what: str) -> None:
 class CheckResult:
     value: bool
     state: str
-    formula: Formula
     witness: object = None
 
     def __bool__(self) -> bool:
@@ -217,7 +216,7 @@ def check(pm: PointedModel, f: Formula, ctx: EvalContext | None = None) -> Check
             updated = ctx.updated(m, pm.point, g.sender, g.receiver)
             inner = check(PointedModel(updated, pm.point), g.body, ctx)
             witness = (save(updated), inner)
-    return CheckResult(value, pm.point, f, witness)
+    return CheckResult(value, pm.point, witness)
 
 
 def global_truth(m: Model, f: Formula, ctx: EvalContext | None = None) -> bool:

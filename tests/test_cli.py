@@ -164,6 +164,18 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(
             "error: malformed model data: ")
 
+    @pytest.mark.parametrize("agent, atom, message", [
+        ("a", "true", "bad atom name 'true'"),
+        ("false", "p", "bad agent name 'false'"),
+    ], ids=["atom_true", "agent_false"])
+    def test_keyword_names_exit_2(self, files, capsys, agent, atom, message):
+        bad = files["dir"] / "bad.json"
+        bad.write_text(json.dumps({
+            "states": ["s0"], "agents": [agent], "atoms": [atom],
+            "relations": {}, "valuation": {}}))
+        assert main(["validate", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
     @pytest.mark.parametrize("key, value", [
         ("agents", 5), ("agents", "abc"), ("atoms", "pqr"),
         ("ideal", [[["s0"], "s0"]]), ("relations", {"a": [["s0", ["s1"]]]}),
@@ -195,8 +207,8 @@ class TestUpdate:
                      "--share", "ac", "--out", out]) == 2
 
     @pytest.mark.parametrize("share, shown", [
-        (">b", ">b"), ("a>", "a>"), (" > ", ">")],
-        ids=["no_sender", "no_receiver", "neither"])
+        (">b", ">b"), ("a>", "a>"), (" > ", ">"), ("a>b>c", "a>b>c")],
+        ids=["no_sender", "no_receiver", "neither", "two_arrows"])
     def test_empty_share_side(self, files, capsys, share, shown):
         out = str(files["dir"] / "out.json")
         assert main(["update", "--model", files["plain"],

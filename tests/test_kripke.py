@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +43,16 @@ class TestValidation:
             Model(("u",), ("a",), ("p",), {"a": ({"u"},)}, {"u": {"zz"}})
         with pytest.raises(ModelError):
             tiny(point="nowhere")
+
+    @pytest.mark.parametrize("agents, atoms, message", [
+        (("a",), ("true",), "bad atom name 'true'"),
+        (("false",), ("p",), "bad agent name 'false'"),
+    ], ids=["atom_true", "agent_false"])
+    def test_rejects_keyword_names(self, agents, atoms, message):
+        # a formula could not name them: `true` and `false` are constants
+        with pytest.raises(ModelError) as err:
+            Model(("u",), agents, atoms, {}, {})
+        assert str(err.value) == message
 
     def test_rejects_valuation_of_unknown_state(self):
         with pytest.raises(ModelError) as err:
@@ -112,6 +123,12 @@ class TestSerialization:
         for build in (service_desk, service_desk_deontic, overlap):
             m = build()
             assert load(save(m)) == m
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_bundled_file_is_the_saved_preset(self, name):
+        models = Path(__file__).parent.parent / "models"
+        assert save(PRESETS[name]()) == \
+            (models / ("%s.json" % name)).read_bytes()
 
     def test_save_is_strict_loadable_and_deterministic(self):
         m = service_desk_deontic()
