@@ -14,17 +14,20 @@ position.  `expand` rewrites the defined operators (E, Rk, P, Ob, Perm)
 into the kernel language through one table (`_DEFINED`).
 The passes over the tree read the role of each node field from one table
 (`_ROLES`), mostly through `rebuild`; the node constructors check every
-agent slot that table names, and the evaluator looks up the same slots.
+subformula and agent slot that table names, and the evaluator looks up
+the same agent slots.
 `instantiate` fills agent placeholders with pairwise distinct agents,
 except the placeholders it is told are free.
 
 Nodes are hash-consed (Filliâtre and Conchon, "Type-safe modular
-hash-consing", 2006): the constructor returns the equal node from a weak
-table of live nodes if there is one (looked up before building the node
-when every field is given in order, else after building and validating it),
-so equal formulas are one object, equality and hashing go by identity,
-and a formula is a DAG whose shared subformulas (the body of an expanded
-`E`) are stored and walked once.
+hash-consing", 2006): the constructor binds its arguments to the node's
+fields and returns the equal node from a weak table of live nodes if there
+is one, so only a new node is built and validated.  Equal formulas are one
+object, equality and hashing go by identity, and a formula is a DAG whose
+shared subformulas (the body of an expanded `E`) are stored and walked
+once.  The node classes are dataclasses for `fields` and `replace` only:
+the constructor, `repr` and immutability are written once, on `Formula`,
+so importing the module compiles no per-class methods.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import functools
 import itertools
 import re
 import weakref
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping
 
 
@@ -78,26 +81,29 @@ def _forget(ref: weakref.KeyedRef) -> None:
 
 
 class _Interned(type):
-    """Hash-consing constructor: a positional call whose arguments are the
-    fields of a live node returns that node; otherwise the dataclass
-    constructor binds the arguments and validates the node, and a node
-    equal to a live one is then dropped for that one."""
+    """Hash-consing constructor, the one way a node is built: the arguments
+    are bound to the fields (nothing to bind when every field is given in
+    order, as `rebuild`, copies and the parser call), and the live node
+    with those fields is returned if there is one.  Otherwise a new node
+    is built and validated, and dropped for a live node it then equals
+    (an agent tuple given as a list)."""
 
     def __call__(cls, *args, **kwargs):
-        if not kwargs:
-            # every field given in order (as `rebuild` and the parser's
-            # binary and atom nodes call): a live node with these fields
-            # needs no constructor
-            try:
-                ref = _TABLE.get((cls, *args))
-            except TypeError:  # an unhashable argument: let the
-                ref = None     # constructor judge it
-            live = None if ref is None else ref()
-            if live is not None:
-                return live
-        node = super().__call__(*args, **kwargs)
-        # a new node holds its fields and nothing else, in field order
-        key = (cls, *vars(node).values())
+        names = cls.__match_args__  # the fields in order, set by dataclass
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, args, kwargs)
+        try:
+            ref = _TABLE.get((cls, *args))
+        except TypeError:  # an unhashable argument: let validation judge it
+            ref = None
+        live = None if ref is None else ref()
+        if live is not None:
+            return live
+        node = object.__new__(cls)
+        node.__dict__.update(zip(names, args))
+        node.__post_init__()
+        # validation keeps the fields in order, agent tuples normalised
+        key = (cls, *node.__dict__.values())
         try:
             ref = _TABLE.get(key)
         except TypeError:  # an unhashable field; validation names most
@@ -108,6 +114,60 @@ class _Interned(type):
             return live
         _TABLE[key] = weakref.KeyedRef(node, _forget, key)
         return node
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> list:
+    """The field values of a call in field order, defaults filled in."""
+    names = cls.__match_args__
+    values = [*args, *_defaults(cls)[len(args):]]
+    for name, value in kwargs.items():
+        # a name that is no field, or that names a positional argument
+        i = names.index(name) if name in names else -1
+        if i < len(args):
+            raise _misfit(cls, args, kwargs)
+        values[i] = value
+    if len(values) != len(names) or MISSING in values:
+        raise _misfit(cls, args, kwargs)
+    return values
+
+
+def _misfit(cls: type, args: tuple, kwargs: dict) -> TypeError:
+    """The `TypeError` Python raises for this call of `__init__(self,
+    *fields)`, checks in Python's order; counts include `self`."""
+    names = cls.__match_args__
+    call = "%s.__init__()" % cls.__qualname__
+    for name in kwargs:
+        if name not in names:
+            return TypeError("%s got an unexpected keyword argument %r"
+                             % (call, name))
+        if names.index(name) < len(args):
+            return TypeError("%s got multiple values for argument %r"
+                             % (call, name))
+    defaults = _defaults(cls)
+    if len(args) > len(names):
+        least = 1 + defaults.count(MISSING)
+        if least > len(names):
+            takes = "%d positional argument%s" % (
+                least, "" if least == 1 else "s")
+        else:
+            takes = "from %d to %d positional arguments" % (
+                least, len(names) + 1)
+        return TypeError("%s takes %s but %d were given"
+                         % (call, takes, len(args) + 1))
+    missing = [repr(name) for i, name in enumerate(names)
+               if i >= len(args) and name not in kwargs
+               and defaults[i] is MISSING]
+    listed = " and ".join(missing) if len(missing) < 3 else \
+        "%s, and %s" % (", ".join(missing[:-1]), missing[-1])
+    return TypeError("%s missing %d required positional argument%s: %s"
+                     % (call, len(missing), "" if len(missing) == 1 else "s",
+                        listed))
+
+
+@functools.cache
+def _defaults(cls: type) -> tuple:
+    """The default of each field of a node class, MISSING for none."""
+    return tuple(fld.default for fld in fields(cls))
 
 
 class Formula(metaclass=_Interned):
@@ -122,17 +182,36 @@ class Formula(metaclass=_Interned):
     def __reduce__(self):
         # copies and unpickled nodes go through the interning constructor
         return type(self), tuple(getattr(self, name)
-                                 for name, _ in _layout(type(self)))
+                                 for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name))
+            for name in self.__match_args__))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
 
     def __post_init__(self):
-        # every agent slot the role table names, in field order; an agent
-        # tuple may be given as any iterable, and may be empty only if its
-        # field has a default (K's deps)
-        for name, role, optional in _agent_fields(type(self)):
+        # every subformula and agent slot the role table names, in field
+        # order; an agent tuple may be given as any iterable but a string,
+        # and may be empty only if its field has a default (K's deps)
+        for name, role, optional in _checked_fields(type(self)):
             value = getattr(self, name)
+            if role is _SUB:
+                if not isinstance(value, Formula):
+                    raise FormulaError("bad subformula %r" % (value,))
+                continue
             if role is _AGENT:
                 _check_agent(value)
                 continue
+            # a string is not split into one agent per letter
+            if isinstance(value, str) or not hasattr(value, "__iter__"):
+                raise FormulaError("agent group must be an iterable of"
+                                   " names, not %r" % (value,))
             value = tuple(value)
             object.__setattr__(self, name, value)
             if not value and not optional:
@@ -146,12 +225,16 @@ class Formula(metaclass=_Interned):
         return print_formula(self)
 
 
-# node classes: frozen dataclasses whose equality and hash are identity
-_node = dataclass(frozen=True, eq=False)
+# Node classes: dataclasses for `fields` and `replace`, with no generated
+# methods (`Formula` builds, prints and freezes every node); equality and
+# hash stay identity.
+_node = dataclass(init=False, repr=False, eq=False)
 
 
 @_node
 class Atom(Formula):
+    """Propositional atom."""
+
     name: str
 
     def __post_init__(self):
@@ -161,12 +244,12 @@ class Atom(Formula):
 
 @_node
 class Top(Formula):
-    pass
+    """The constant true."""
 
 
 @_node
 class Bot(Formula):
-    pass
+    """The constant false."""
 
 
 @_node
@@ -194,29 +277,39 @@ class MetaFormula(Formula):
 
 @_node
 class Not(Formula):
+    """Negation."""
+
     body: Formula
 
 
 @_node
 class And(Formula):
+    """Conjunction."""
+
     left: Formula
     right: Formula
 
 
 @_node
 class Or(Formula):
+    """Disjunction."""
+
     left: Formula
     right: Formula
 
 
 @_node
 class Imp(Formula):
+    """Implication."""
+
     left: Formula
     right: Formula
 
 
 @_node
 class Iff(Formula):
+    """Biconditional."""
+
     left: Formula
     right: Formula
 
@@ -349,12 +442,19 @@ def _layout(cls: type) -> tuple:
 
 
 @functools.cache
+def _checked_fields(cls: type) -> tuple:
+    """(field name, role, whether it has a default) of each subformula,
+    agent and agent tuple field of a node class, in field order."""
+    return tuple((name, role, default is not MISSING)
+                 for (name, role), default in zip(_layout(cls), _defaults(cls))
+                 if role is not _PAYLOAD)
+
+
+@functools.cache
 def _agent_fields(cls: type) -> tuple:
-    """(field name, role, whether it has a default) of each agent and agent
-    tuple field of a node class, in field order."""
-    defaults = {f.name for f in fields(cls) if f.default is not MISSING}
-    return tuple((name, role, name in defaults) for name, role in _layout(cls)
-                 if role is _AGENT or role is _AGENTS)
+    """`_checked_fields` of the agent and agent tuple fields."""
+    return tuple(checked for checked in _checked_fields(cls)
+                 if checked[1] is not _SUB)
 
 
 def rebuild(f: Formula, sub: Callable[[Formula], Formula],
@@ -465,8 +565,9 @@ def _program(cls: type, head: str) -> tuple:
     return tuple(steps)
 
 
-# node class -> (head program, whether a body follows)
-_SYNTAX = {cls: (_program(cls, head), "body" in dict(_layout(cls)))
+# node class -> (head program, position of the body field; None for none)
+_SYNTAX = {cls: (_program(cls, head), cls.__match_args__.index("body")
+                 if "body" in cls.__match_args__ else None)
            for cls, head in _HEADS}
 # a head's first word -> the node classes whose head it starts
 _STARTS = {}
@@ -561,34 +662,37 @@ class _Parser:
         start = self.pos
         errors = []
         for cls in heads:
-            program, prefix = _SYNTAX[cls]
+            program, body = _SYNTAX[cls]
             try:
-                args = self.head(program)
+                values = self.head(cls, program)
             except ParseError as err:
                 errors.append(err)
                 self.pos = start
                 continue
-            if prefix:
-                args["body"] = self.unary()
-            return cls(**args)
+            if body is not None:
+                values[body] = self.unary()
+            # every field in order: the constructor has nothing to bind
+            return cls(*values)
         raise max(errors, key=lambda err: (err.line, err.col))
 
-    def head(self, program: tuple) -> dict:
-        """Read a head; return its agent fields by name."""
-        args = {}
+    def head(self, cls: type, program: tuple) -> list:
+        """Read a head; return the node's fields in order, each one the
+        head does not give (the body) at its default."""
+        names = cls.__match_args__
+        values = list(_defaults(cls))
         steps = iter(program)
         for word, role in steps:
             if role is _AGENT:
-                args[word] = self.agent()
+                values[names.index(word)] = self.agent()
             elif role is _AGENTS:
-                args[word] = self.agent_list()
+                values[names.index(word)] = self.agent_list()
             elif self.words[self.pos] == word:
                 self.pos += 1
             elif role is _OPTIONAL:
                 next(steps)  # the field keeps its default
             else:
                 self.expect(word, "'%s'" % word)  # raises
-        return args
+        return values
 
     def primary(self) -> Formula:
         word = self.words[self.pos]
@@ -649,7 +753,7 @@ def _show(f: Formula, outer: int) -> str:
     elif cls is Atom or cls is MetaFormula:
         return f.name
     elif cls in _SYNTAX:
-        program, prefix = _SYNTAX[cls]
+        program, body = _SYNTAX[cls]
         parts = []
         for word, role in program:
             if role is _AGENT:
@@ -663,7 +767,7 @@ def _show(f: Formula, outer: int) -> str:
             else:
                 parts.append(word)
         s = "".join(parts)
-        if not prefix:
+        if body is None:
             return s
         s += _show(f.body, _PREFIX)
         level = _PREFIX

@@ -105,6 +105,8 @@ class Model:
         self.states = states = tuple(states)
         self.agents = tuple(agents)
         self.atoms = tuple(atoms)
+        if validate:
+            self._check_names()
         rel = {a: tuple(frozenset(c) for c in cells)
                for a, cells in rel.items()}
         self.val = {s: frozenset(val.get(s, ())) for s in states}
@@ -129,21 +131,28 @@ class Model:
                 self._cell_at[a] = tuple(1 << i for i in range(len(states)))
         self._blocks = self._closure = self._hash = None
 
-    def _validate(self, rel: dict, val: Mapping) -> None:
-        # `val` is the valuation as given: self.val keeps only known states
+    def _check_names(self) -> None:
+        # types first: a list given as a name must not reach set() or dict
         if not self.states:
             raise ModelError("model needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ModelError("duplicate state id")
         for s in self.states:
             if not isinstance(s, str) or not s:
                 raise ModelError("state ids must be non-empty strings")
-        for name, what in ((self.agents, "agent"), (self.atoms, "atom")):
-            if len(set(name)) != len(name):
+        if len(set(self.states)) != len(self.states):
+            raise ModelError("duplicate state id")
+        for names, what in ((self.agents, "agent"), (self.atoms, "atom")):
+            for n in names:
+                if not isinstance(n, str):
+                    raise ModelError("malformed model data: %s names must be"
+                                     " strings, got %r" % (what, n))
+            if len(set(names)) != len(names):
                 raise ModelError("duplicate %s name" % what)
-            for n in name:
+            for n in names:
                 if not _is_name(n):
                     raise ModelError("bad %s name %r" % (what, n))
+
+    def _validate(self, rel: dict, val: Mapping) -> None:
+        # `val` is the valuation as given: self.val keeps only known states
         universe = frozenset(self.states)
         for a, cells in rel.items():
             if a not in self.agents:
@@ -178,7 +187,8 @@ class Model:
                            for a in self.agents):
                     raise ModelError("ideal pair %r outside every agent relation"
                                      % sorted(pair))
-        if self.point is not None and self.point not in universe:
+        # a tuple scan, as the point may be unhashable
+        if self.point is not None and self.point not in self.states:
             raise ModelError("point %r is not a state" % (self.point,))
 
     # -- names read off the masks
@@ -303,7 +313,8 @@ class PointedModel:
     point: str
 
     def __post_init__(self):
-        if self.point not in self.model._frame.index:
+        if not isinstance(self.point, str) \
+                or self.point not in self.model._frame.index:
             raise ModelError("point %r is not a state" % (self.point,))
 
 

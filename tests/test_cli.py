@@ -1,7 +1,11 @@
 """Command line interface: exit codes and line formats."""
 
 import argparse
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,6 +337,27 @@ def test_zero_max_states_is_a_usage_error(command, capsys):
     assert captured.out == ""
     assert "--max-states: expected at least one state, got '0'" \
         in captured.err
+
+
+class TestModuleEntry:
+    """`python -m knowpool` runs the CLI; importing the module does not."""
+
+    def test_importing_the_main_module_does_not_run_the_cli(self,
+                                                            monkeypatch):
+        monkeypatch.delitem(sys.modules, "knowpool.__main__", raising=False)
+        monkeypatch.setattr(sys, "argv", ["knowpool"])  # no command: exit 2
+        assert importlib.import_module("knowpool.__main__").main is main
+
+    def test_run_as_a_module(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(root / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "knowpool", "validate",
+             "--model", "models/overlap.json"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (0, "ok states=4 agents=2 atoms=3 deontic=false\n", "")
 
 
 class TestReusedParser:

@@ -418,6 +418,46 @@ class TestAgentSlots:
                 _build(cls, **{name: []})
             assert str(err.value) == "agent group must be non-empty"
 
+    @pytest.mark.parametrize("bad", ["ab", "a", None, 5])
+    @pytest.mark.parametrize("slot", [s for s in _AGENT_SLOTS
+                                      if s[2] == "agents"], ids=_slot_id)
+    def test_agent_tuple_is_not_a_string(self, slot, bad):
+        # a string would be split into one agent per letter
+        cls, name, _ = slot
+        with pytest.raises(FormulaError) as err:
+            _build(cls, **{name: bad})
+        assert str(err.value) == \
+            "agent group must be an iterable of names, not %r" % (bad,)
+
+
+# every (node class, field) that holds a subformula
+_SUB_SLOTS = [(cls, name)
+              for cls in Formula.__subclasses__()
+              if cls.__module__ == formula.__name__
+              for name, role in formula._layout(cls)
+              if role == "subformula"]
+
+
+class TestSubformulaSlots:
+    def test_every_subformula_slot_is_listed(self):
+        assert len(_SUB_SLOTS) == 18
+
+    @pytest.mark.parametrize("bad", ["p", 3, None, [Atom("p")]],
+                             ids=["str", "int", "none", "list"])
+    @pytest.mark.parametrize("slot", _SUB_SLOTS, ids=_slot_id)
+    def test_non_formula_in_every_slot(self, slot, bad):
+        cls, name = slot
+        with pytest.raises(FormulaError) as err:
+            _build(cls, **{name: bad})
+        assert str(err.value) == "bad subformula %r" % (bad,)
+
+    def test_no_node_is_left_behind(self):
+        before = len(formula._TABLE)
+        for bad in ("p", 3):
+            with pytest.raises(FormulaError):
+                Share("a", "b", bad)
+        assert len(formula._TABLE) == before
+
 
 # every operator, agent tuples with and without deps, shared subformulas
 _EVERY_OPERATOR = ("Rk{a;a,b}D{a,b}K{a|b,c}[b>a]Perm(a>b) & Ok{b} | O"
@@ -509,6 +549,50 @@ class TestInterning:
         assert K("a", p, deps=("b",)) is live[2]
         assert K("a", p) is K("a", p, ())
         assert K("a", p, ["b"]) is live[2]
+
+    def test_keyword_hit_skips_the_constructor(self, monkeypatch):
+        p, q = Atom("p"), Atom("q")
+        live = [p, And(p, q), K("a", p, ("b",)), Share("a", "b", q),
+                K("a", q)]
+
+        def refuse(self):
+            raise AssertionError("constructor ran for a live node")
+
+        for node in live:
+            monkeypatch.setattr(type(node), "__post_init__", refuse)
+        assert Atom(name="p") is p
+        assert And(right=q, left=p) is live[1]
+        assert K("a", body=p, deps=("b",)) is live[2]
+        assert dataclasses.replace(live[2]) is live[2]
+        assert Share("a", receiver="b", body=q) is live[3]
+        assert K("a", q) is live[4]  # the left-out default is bound first
+
+    def test_node_classes_define_no_generated_methods(self):
+        # Formula builds, prints and freezes every node, so importing the
+        # module compiles no per-class __init__, __repr__ or __setattr__
+        nodes = [cls for cls in Formula.__subclasses__()
+                 if cls.__module__ == formula.__name__]
+        assert len(nodes) == 21
+        for cls in nodes:
+            assert not {"__init__", "__repr__", "__setattr__",
+                        "__delattr__"} & set(vars(cls)), cls.__name__
+
+    def test_repr_names_every_field(self):
+        assert repr(K("a", Atom("p"), ("b",))) == \
+            "K(agent='a', body=Atom(name='p'), deps=('b',))"
+        assert repr(Top()) == "Top()"
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda f: setattr(f, "agent", "b"), "cannot assign to field 'agent'"),
+        (lambda f: delattr(f, "agent"), "cannot delete field 'agent'"),
+        (lambda f: setattr(f, "weight", 1), "cannot assign to field 'weight'"),
+    ], ids=["assign", "delete", "add"])
+    def test_fields_are_frozen(self, change, message):
+        f = K("a", Atom("p"))
+        with pytest.raises(dataclasses.FrozenInstanceError) as err:
+            change(f)
+        assert str(err.value) == message
+        assert f.agent == "a" and not hasattr(f, "weight")
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda p: And(p), TypeError,

@@ -54,6 +54,22 @@ class TestValidation:
             Model(("u",), agents, atoms, {}, {})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("states, agents, atoms, point, message", [
+        ([["u"]], ("a",), ("p",), None,
+         "state ids must be non-empty strings"),
+        (("u",), [["a"]], ("p",), None,
+         "malformed model data: agent names must be strings, got ['a']"),
+        (("u",), ("a",), [["p"]], None,
+         "malformed model data: atom names must be strings, got ['p']"),
+        (("u",), ("a",), ("p",), ["u"], "point ['u'] is not a state"),
+    ], ids=["state", "agent", "atom", "point"])
+    def test_rejects_unhashable_names(self, states, agents, atoms, point,
+                                      message):
+        # checked before anything puts them in a set or a dict
+        with pytest.raises(ModelError) as err:
+            Model(states, agents, atoms, {}, {}, point=point)
+        assert str(err.value) == message
+
     def test_rejects_valuation_of_unknown_state(self):
         with pytest.raises(ModelError) as err:
             Model(("u",), ("a",), ("p",), {}, {"zz": {"p"}})
@@ -116,6 +132,12 @@ class TestPointed:
             pointed(tiny())
         with pytest.raises(ModelError):
             PointedModel(tiny(), "zz")
+
+    def test_rejects_an_unhashable_state(self):
+        m = Model(("u",), ("a",), ("p",), {}, {})
+        with pytest.raises(ModelError) as err:
+            pointed(m, ["u"])
+        assert str(err.value) == "point ['u'] is not a state"
 
 
 class TestSerialization:
