@@ -27,7 +27,9 @@ object, equality and hashing go by identity, and a formula is a DAG whose
 shared subformulas (the body of an expanded `E`) are stored and walked
 once.  The node classes are dataclasses for `fields` and `replace` only:
 the constructor, `repr` and immutability are written once, on `Formula`,
-so importing the module compiles no per-class methods.
+so importing the module compiles no per-class methods.  A call that does
+not give every field in order is bound by Python itself, through a
+signature compiled for its class on first use (`_binder`).
 """
 
 from __future__ import annotations
@@ -82,16 +84,16 @@ def _forget(ref: weakref.KeyedRef) -> None:
 
 class _Interned(type):
     """Hash-consing constructor, the one way a node is built: the arguments
-    are bound to the fields (nothing to bind when every field is given in
-    order, as `rebuild`, copies and the parser call), and the live node
-    with those fields is returned if there is one.  Otherwise a new node
-    is built and validated, and dropped for a live node it then equals
-    (an agent tuple given as a list)."""
+    are bound to the fields by the class's `_binder` (nothing to bind when
+    every field is given in order, as `rebuild`, copies and the parser
+    call), and the live node with those fields is returned if there is
+    one.  Otherwise a new node is built and validated, and dropped for a
+    live node it then equals (an agent tuple given as a list)."""
 
     def __call__(cls, *args, **kwargs):
         names = cls.__match_args__  # the fields in order, set by dataclass
         if kwargs or len(args) != len(names):
-            args = _bind(cls, args, kwargs)
+            args = _binder(cls)(None, *args, **kwargs)
         try:
             ref = _TABLE.get((cls, *args))
         except TypeError:  # an unhashable argument: let validation judge it
@@ -116,52 +118,19 @@ class _Interned(type):
         return node
 
 
-def _bind(cls: type, args: tuple, kwargs: dict) -> list:
-    """The field values of a call in field order, defaults filled in."""
-    names = cls.__match_args__
-    values = [*args, *_defaults(cls)[len(args):]]
-    for name, value in kwargs.items():
-        # a name that is no field, or that names a positional argument
-        i = names.index(name) if name in names else -1
-        if i < len(args):
-            raise _misfit(cls, args, kwargs)
-        values[i] = value
-    if len(values) != len(names) or MISSING in values:
-        raise _misfit(cls, args, kwargs)
-    return values
-
-
-def _misfit(cls: type, args: tuple, kwargs: dict) -> TypeError:
-    """The `TypeError` Python raises for this call of `__init__(self,
-    *fields)`, checks in Python's order; counts include `self`."""
-    names = cls.__match_args__
-    call = "%s.__init__()" % cls.__qualname__
-    for name in kwargs:
-        if name not in names:
-            return TypeError("%s got an unexpected keyword argument %r"
-                             % (call, name))
-        if names.index(name) < len(args):
-            return TypeError("%s got multiple values for argument %r"
-                             % (call, name))
-    defaults = _defaults(cls)
-    if len(args) > len(names):
-        least = 1 + defaults.count(MISSING)
-        if least > len(names):
-            takes = "%d positional argument%s" % (
-                least, "" if least == 1 else "s")
-        else:
-            takes = "from %d to %d positional arguments" % (
-                least, len(names) + 1)
-        return TypeError("%s takes %s but %d were given"
-                         % (call, takes, len(args) + 1))
-    missing = [repr(name) for i, name in enumerate(names)
-               if i >= len(args) and name not in kwargs
-               and defaults[i] is MISSING]
-    listed = " and ".join(missing) if len(missing) < 3 else \
-        "%s, and %s" % (", ".join(missing[:-1]), missing[-1])
-    return TypeError("%s missing %d required positional argument%s: %s"
-                     % (call, len(missing), "" if len(missing) == 1 else "s",
-                        listed))
+@functools.cache
+def _binder(cls: type) -> Callable:
+    """`__init__(self, *fields)` of a node class, with the fields'
+    defaults, returning the field values in order: Python binds a call's
+    keywords and defaults and raises its own `TypeError` for a call that
+    does not fit.  Compiled on the first call that needs binding."""
+    names = ", ".join(cls.__match_args__)
+    scope = {}
+    exec("def __init__(self, %s): return [%s]" % (names, names), scope)
+    init = scope["__init__"]
+    init.__defaults__ = tuple(d for d in _defaults(cls) if d is not MISSING)
+    init.__qualname__ = "%s.__init__" % cls.__qualname__
+    return init
 
 
 @functools.cache

@@ -2,8 +2,8 @@
 
 Relations are stored as partitions into cells, so reflexivity, symmetry, and
 transitivity hold by construction.  A model optionally carries an ideal
-relation (a non-empty symmetric set of state pairs inside the union of the
-agent relations) and a designated evaluation point.
+relation (a non-empty symmetric set of state pairs) and a designated
+evaluation point.
 
 Inside, a set of states is an int mask whose bit i stands for the i-th
 state in name order, the explicit-state bitset representation of epistemic
@@ -92,6 +92,25 @@ class _Frame:
                           frozenset(atoms), frozenset(val.items()), ideal))
 
 
+def _collection(items, what: str) -> tuple:
+    """`items` as a tuple, if it is a collection other than a string."""
+    if isinstance(items, str) or not hasattr(items, "__iter__"):
+        raise ModelError("malformed model data: %s must be a collection,"
+                         " got %r" % (what, items))
+    return tuple(items)
+
+
+def _strings(items, what: str) -> tuple:
+    """`items` as a tuple of strings, each checked before anything hashes
+    or sorts it."""
+    items = _collection(items, what)
+    for x in items:
+        if not isinstance(x, str):
+            raise ModelError("malformed model data: %s must be strings,"
+                             " got %r" % (what, x))
+    return items
+
+
 class Model:
     """Immutable by convention: operations return fresh models."""
 
@@ -102,6 +121,22 @@ class Model:
     def __init__(self, states: Iterable, agents: Iterable, atoms: Iterable,
                  rel: Mapping, val: Mapping, ideal=None, point=None,
                  validate: bool = True):
+        if validate:
+            # types first: only strings may reach a set, a dict or sorted()
+            states = _collection(states, "states")
+            agents = _strings(agents, "agent names")
+            atoms = _strings(atoms, "atom names")
+            for given, what in ((rel, "relations"), (val, "valuation")):
+                if not isinstance(given, Mapping):
+                    raise ModelError("malformed model data: %s must be a"
+                                     " mapping, got %r" % (what, given))
+            rel = {a: [_strings(c, "cell states")
+                       for c in _collection(cells, "relation cells")]
+                   for a, cells in rel.items()}
+            val = {s: _strings(v, "valuation atoms") for s, v in val.items()}
+            if ideal is not None:
+                ideal = [_strings(pair, "ideal pair states")
+                         for pair in _collection(ideal, "ideal pairs")]
         self.states = states = tuple(states)
         self.agents = tuple(agents)
         self.atoms = tuple(atoms)
@@ -141,10 +176,6 @@ class Model:
         if len(set(self.states)) != len(self.states):
             raise ModelError("duplicate state id")
         for names, what in ((self.agents, "agent"), (self.atoms, "atom")):
-            for n in names:
-                if not isinstance(n, str):
-                    raise ModelError("malformed model data: %s names must be"
-                                     " strings, got %r" % (what, n))
             if len(set(names)) != len(names):
                 raise ModelError("duplicate %s name" % what)
             for n in names:
@@ -176,17 +207,9 @@ class Model:
         if self.ideal is not None:
             if not self.ideal:
                 raise ModelError("ideal relation must be non-empty")
-            cell_of = {a: {s: c for c in rel.get(a, ()) for s in c}
-                       for a in self.agents}
             for pair in self.ideal:
                 if not 1 <= len(pair) <= 2 or not pair <= universe:
                     raise ModelError("bad ideal pair %r" % sorted(pair))
-                # an agent without a relation sees every state apart
-                s = next(iter(pair))
-                if not any(pair <= cell_of[a].get(s, {s})
-                           for a in self.agents):
-                    raise ModelError("ideal pair %r outside every agent relation"
-                                     % sorted(pair))
         # a tuple scan, as the point may be unhashable
         if self.point is not None and self.point not in self.states:
             raise ModelError("point %r is not a state" % (self.point,))
@@ -438,9 +461,6 @@ def load(text, strict: bool = False) -> Model:
     relations = data["relations"]
     if not isinstance(relations, dict):
         raise ModelError("relations must be an object")
-    for a in relations:
-        if a not in data["agents"]:
-            raise ModelError("relations: unknown agent %r" % a)
     rel = {a: _closure_cells(states, pairs, "relations[%s]" % a, strict)
            for a, pairs in relations.items()}
     valuation = data["valuation"]
@@ -458,11 +478,8 @@ def load(text, strict: bool = False) -> Model:
         for p in raw:
             _check_pair(p, "ideal")
             ideal.append(frozenset(p))
-    try:
-        return Model(states, data["agents"], data["atoms"], rel, valuation,
-                     ideal, data.get("point"))
-    except (TypeError, AttributeError) as e:
-        raise ModelError("malformed model data: %s" % e) from None
+    return Model(states, data["agents"], data["atoms"], rel, valuation,
+                 ideal, data.get("point"))
 
 
 def save(m: Model) -> bytes:

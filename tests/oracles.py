@@ -110,10 +110,8 @@ def reference_resolve_update(m, group):
 def _with_relations(m, new):
     rel = dict(m.rel)
     rel.update(new)
-    # an update may leave an ideal pair outside every relation, so the
-    # result is not validated
     return Model(m.states, m.agents, m.atoms, rel, m.val, ideal=m.ideal,
-                 point=m.point, validate=False)
+                 point=m.point)
 
 
 def permuted(m, order):

@@ -205,6 +205,16 @@ class TestUpdate:
                               [("a", "c"), ("b", "c")]).model
         assert got == want
 
+    def test_the_updated_model_validates(self, files, capsys):
+        # the shares leave the ideal pair s0-s3 outside every agent's cell
+        out = str(files["dir"] / "out.json")
+        assert main(["update", "--model", files["deontic"],
+                     "--share", "a>b,a>c", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--model", out]) == 0
+        assert capsys.readouterr().out == \
+            "ok states=5 agents=3 atoms=3 deontic=true\n"
+
     def test_bad_share_spec(self, files, capsys):
         out = str(files["dir"] / "out.json")
         assert main(["update", "--model", files["plain"],

@@ -4,8 +4,11 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -604,8 +607,22 @@ class TestInterning:
         (lambda p: K("a", p, ("a",)), FormulaError,
          "agent 'a' cannot be its own dependency"),
         (lambda p: K(["a"], p), FormulaError, "bad agent name ['a']"),
+        (lambda p: K(), TypeError, "K.__init__() missing 2 required"
+         " positional arguments: 'agent' and 'body'"),
+        (lambda p: Share(), TypeError, "Share.__init__() missing 3 required"
+         " positional arguments: 'sender', 'receiver', and 'body'"),
+        (lambda p: K("a", p, (), 1), TypeError, "K.__init__() takes from 3"
+         " to 4 positional arguments but 5 were given"),
+        (lambda p: Top(1), TypeError,
+         "Top.__init__() takes 1 positional argument but 2 were given"),
+        (lambda p: And(p, left=p), TypeError,
+         "And.__init__() got multiple values for argument 'left'"),
+        (lambda p: Not(p, weight=1), TypeError,
+         "Not.__init__() got an unexpected keyword argument 'weight'"),
     ], ids=["missing", "extra", "keyword", "unhashable-atom", "own-dep",
-            "unhashable-agent"])
+            "unhashable-agent", "missing-two", "missing-three",
+            "extra-over-default", "extra-no-fields", "keyword-twice",
+            "unknown-keyword"])
     def test_a_miss_raises_as_the_constructor_does(self, call, error,
                                                    message):
         p = Atom("p")
@@ -614,6 +631,18 @@ class TestInterning:
             call(p)
         assert type(err.value) is error and str(err.value) == message
         assert And(p, p) is alive[0]
+
+    def test_importing_the_cli_compiles_no_binder(self):
+        # a call's binder is compiled on first use, never at import
+        code = ("import knowpool.cli\n"
+                "from knowpool import formula\n"
+                "print(formula._binder.cache_info().currsize)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
     def test_a_call_that_does_not_fit_raises_type_error(self):
         with pytest.raises(TypeError):

@@ -70,6 +70,30 @@ class TestValidation:
             Model(states, agents, atoms, {}, {}, point=point)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("rel, val, ideal, message", [
+        ({}, {"u": [1, "x"]}, None, "valuation atoms must be strings, got 1"),
+        ({}, {"u": [["p"]]}, None,
+         "valuation atoms must be strings, got ['p']"),
+        ({}, {"u": 5}, None, "valuation atoms must be a collection, got 5"),
+        ({}, {"u": "pq"}, None,
+         "valuation atoms must be a collection, got 'pq'"),
+        ({"a": [[["u"]]]}, {}, None,
+         "cell states must be strings, got ['u']"),
+        ({"a": 5}, {}, None, "relation cells must be a collection, got 5"),
+        ({}, {}, [[["u"], "u"]],
+         "ideal pair states must be strings, got ['u']"),
+        ({}, {}, [5], "ideal pair states must be a collection, got 5"),
+        ({}, {}, 5, "ideal pairs must be a collection, got 5"),
+        ([], {}, None, "relations must be a mapping, got []"),
+    ], ids=["mixed_atoms", "list_atom", "atoms_number", "atoms_string",
+            "list_in_cell", "cells_number", "list_in_ideal_pair",
+            "ideal_pair_number", "ideal_number", "relations_list"])
+    def test_rejects_malformed_elements(self, rel, val, ideal, message):
+        # checked before anything hashes or sorts them
+        with pytest.raises(ModelError) as err:
+            Model(("u",), ("a",), ("p",), rel, val, ideal=ideal)
+        assert str(err.value) == "malformed model data: " + message
+
     def test_rejects_valuation_of_unknown_state(self):
         with pytest.raises(ModelError) as err:
             Model(("u",), ("a",), ("p",), {}, {"zz": {"p"}})
@@ -81,8 +105,10 @@ class TestValidation:
     def test_rejects_bad_ideal(self):
         with pytest.raises(ModelError):
             tiny(ideal=())
-        with pytest.raises(ModelError):
-            tiny(rel_a=({"u"}, {"v"}), ideal=(("u", "v"),))
+        # an ideal pair outside every agent's cell is accepted: no rule
+        # reads that condition, and a share update can produce it
+        apart = tiny(rel_a=({"u"}, {"v"}), ideal=(("u", "v"),))
+        assert load(save(apart)) == apart
         ok = tiny(ideal=(("u", "v"),))
         assert ok.ideal_partners("u") == {"v"}
         assert ok.ideal_partners("v") == {"u"}
@@ -145,6 +171,17 @@ class TestSerialization:
         for build in (service_desk, service_desk_deontic, overlap):
             m = build()
             assert load(save(m)) == m
+
+    def test_a_shared_model_round_trips(self):
+        # a share can leave an ideal pair outside every agent's cell; the
+        # saved model must still load back equal
+        cfg = GenConfig(deontic=True, samples=20, seed=7)
+        for index in range(cfg.samples):
+            m = gen_model(cfg, index)
+            for w, a, b in itertools.product(m.states, m.agents, m.agents):
+                if a != b:
+                    after = share_update(m, w, a, b)
+                    assert load(save(after)) == after, (index, w, a, b)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_bundled_file_is_the_saved_preset(self, name):
