@@ -86,8 +86,8 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
         raise EvalError("permissible planning needs an ideal relation; "
                         "pass require_permissible=False for a free search")
     ctx = EvalContext()
-    pairs = [(x, y) for x in sorted(base.agents)
-             for y in sorted(base.agents) if x != y]
+    agents = sorted(base.agents)
+    pairs = [(x, y) for x in agents for y in agents if x != y]
     came_from = {base: None}  # node -> (previous node, share)
     queue = deque([(base, 0)])
     while queue:

@@ -5,10 +5,13 @@ resolution operators evaluate the body in the updated model; the update for
 a share is anchored at the current evaluation state, so a boxed formula may
 build a different model per state.  An `EvalContext` keeps one memo dict
 per model, holding the model's extensions per kernel node and its updated
-models, which are reused across states that trigger the same update.
-Formula nodes are interned and cache their own expansion (see `formula`),
-so a memo key hashes in constant time and a formula seen before is not
-expanded again.
+models, which are reused across states that trigger the same update.  The
+evaluator looks a model's memo dict up once when it enters the model, not
+once per node, and the context keeps one object per model content: an
+update that builds a model equal to one the context built before hands
+back the earlier object, so the memo finds it by identity.  Formula nodes
+are interned and cache their own expansion (see `formula`), so a memo key
+hashes in constant time and a formula seen before is not expanded again.
 
 Evaluation works on state masks (see `kripke`): one rule per kernel node
 type maps a model and a node to the mask of the states where it holds, the
@@ -38,15 +41,19 @@ class EvalError(ValueError):
 
 class EvalContext:
     """Shared memo across evaluations: one dict per model, keyed by the
-    model.  A model's dict maps a kernel node to its extension mask,
-    `(receiver, cell, closure)` to the updated model and `frozenset(group)`
-    to the resolved model; these key types never compare equal.  With
-    debug=True every cache hit is re-derived, an update with the caller's
-    own sender, and compared, trading speed for a self-check."""
+    model and looked up once per model an evaluation enters.  A model's
+    dict maps a kernel node to its extension mask, `(receiver, cell,
+    closure)` to the updated model and `frozenset(group)` to the resolved
+    model; these key types never compare equal.  Of equal updated models
+    the context keeps the first it built and hands that one back, so there
+    is one object per model content.  With debug=True every cache hit is
+    re-derived, an update with the caller's own sender, and compared,
+    trading speed for a self-check."""
 
     def __init__(self, debug: bool = False):
         self.debug = debug
         self._memo = defaultdict(dict)
+        self._models = {}  # each updated model built, keyed by itself
 
     def updated(self, m: Model, w: str, sender: str, receiver: str) -> Model:
         # the update depends on the state and the sender only through
@@ -63,7 +70,8 @@ class EvalContext:
         memo = self._memo[m]
         out = memo.get(key)
         if out is None:
-            out = memo[key] = update(m, *args)
+            out = update(m, *args)
+            out = memo[key] = self._models.setdefault(out, out)
         elif self.debug:
             assert out == update(m, *args), \
                 "memo entry diverged from recomputation"
@@ -75,91 +83,98 @@ def extension(m: Model, f: Formula, ctx: EvalContext | None = None) -> frozenset
     once per node (`expand` caches the kernel on the node)."""
     if ctx is None:
         ctx = EvalContext()
-    return m._names(_ext(m, expand(f), ctx))
+    return m._names(_ext(m, ctx._memo[m], expand(f), ctx))
 
 
-def _ext(m: Model, f: Formula, ctx: EvalContext) -> int:
-    """The states where `f` holds, as a mask of `m`'s states."""
-    memo = ctx._memo[m]
+def _ext(m: Model, memo: dict, f: Formula, ctx: EvalContext) -> int:
+    """The states where `f` holds, as a mask of `m`'s states; `memo` is
+    `ctx._memo[m]`."""
     hit = memo.get(f)
-    if hit is not None:
-        if ctx.debug:
-            fresh = _compute(m, f, ctx)
-            assert fresh == hit, "memo entry diverged from recomputation"
+    if hit is not None and not ctx.debug:
         return hit
-    out = memo[f] = _compute(m, f, ctx)
-    return out
-
-
-def _compute(m: Model, f: Formula, ctx: EvalContext) -> int:
-    cls = type(f)
-    for name, role, _ in _agent_fields(cls):
+    rule, slots = _RULES.get(type(f), (None, ()))
+    for name, role, _ in slots:
         names = getattr(f, name)
         for a in (names,) if role is _AGENT else names:
             if a not in m._cell_at:
                 raise EvalError("unknown agent %r" % (a,))
-    rule = _RULES.get(cls)
     if rule is None:
         raise EvalError("cannot evaluate %r" % (f,))
-    return rule(m, f, ctx)
+    out = rule(m, memo, f, ctx)
+    if hit is None:
+        memo[f] = out
+    else:
+        assert out == hit, "memo entry diverged from recomputation"
+    return out
 
 
-# One rule per kernel node type: rule(model, node, context) -> state mask.
+# One rule per kernel node type: rule(model, its memo dict, node, context)
+# -> state mask.  Rules that enter an updated model recurse through `_ext`
+# with that model's memo dict, so a nesting level costs no extra frame.
 
 
-def _atom(m: Model, f: Atom, ctx: EvalContext) -> int:
+def _atom(m: Model, memo: dict, f: Atom, ctx: EvalContext) -> int:
     if f.name not in m.atoms:
         raise EvalError("unknown atom %r" % f.name)
     return m._frame.val.get(f.name, 0)
 
 
-def _box(m: Model, f: K | D, ctx: EvalContext) -> int:
-    body = _ext(m, f.body, ctx)
+def _box(m: Model, memo: dict, f: K | D, ctx: EvalContext) -> int:
+    body = _ext(m, memo, f.body, ctx)
     return _states_where(reach & body == reach for reach in _reach(m, f))
 
 
-def _share(m: Model, f: Share, ctx: EvalContext) -> int:
+def _share(m: Model, memo: dict, f: Share, ctx: EvalContext) -> int:
     out = 0
     for i, w in enumerate(m._frame.names):
         updated = ctx.updated(m, w, f.sender, f.receiver)
-        out |= _ext(updated, f.body, ctx) & 1 << i
+        out |= _ext(updated, ctx._memo[updated], f.body, ctx) & 1 << i
     return out
 
 
-def _ideal(m: Model, f: IdealAtom, ctx: EvalContext) -> int:
+def _resolve(m: Model, memo: dict, f: ResolveInfo, ctx: EvalContext) -> int:
+    resolved = ctx.resolved(m, f.group)
+    return _ext(resolved, ctx._memo[resolved], f.body, ctx)
+
+
+def _ideal(m: Model, memo: dict, f: IdealAtom, ctx: EvalContext) -> int:
     _need_ideal(m, "O")
     return _states_where(map(bool, m._frame.partners))
 
 
-def _ok(m: Model, f: OkAtom, ctx: EvalContext) -> int:
+def _ok(m: Model, memo: dict, f: OkAtom, ctx: EvalContext) -> int:
     _need_ideal(m, "Ok{%s}" % f.agent)
     return _states_where(map(int.__and__, m._cell_at[f.agent],
                              m._frame.partners))
 
 
-def _meta(m: Model, f: MetaFormula, ctx: EvalContext) -> int:
+def _meta(m: Model, memo: dict, f: MetaFormula, ctx: EvalContext) -> int:
     raise EvalError("schema variable %r cannot be evaluated" % f.name)
 
 
-_RULES = {
+# each kernel node type -> (its rule, its agent slots, which `_ext` looks up
+# in the model before the rule runs)
+_RULES = {cls: (rule, _agent_fields(cls)) for cls, rule in {
     Atom: _atom,
-    Top: lambda m, f, ctx: m._frame.full,
-    Bot: lambda m, f, ctx: 0,
-    Not: lambda m, f, ctx: m._frame.full ^ _ext(m, f.body, ctx),
-    And: lambda m, f, ctx: _ext(m, f.left, ctx) & _ext(m, f.right, ctx),
-    Or: lambda m, f, ctx: _ext(m, f.left, ctx) | _ext(m, f.right, ctx),
-    Imp: lambda m, f, ctx:
-        m._frame.full ^ _ext(m, f.left, ctx) | _ext(m, f.right, ctx),
-    Iff: lambda m, f, ctx:
-        m._frame.full ^ _ext(m, f.left, ctx) ^ _ext(m, f.right, ctx),
+    Top: lambda m, memo, f, ctx: m._frame.full,
+    Bot: lambda m, memo, f, ctx: 0,
+    Not: lambda m, memo, f, ctx: m._frame.full ^ _ext(m, memo, f.body, ctx),
+    And: lambda m, memo, f, ctx:
+        _ext(m, memo, f.left, ctx) & _ext(m, memo, f.right, ctx),
+    Or: lambda m, memo, f, ctx:
+        _ext(m, memo, f.left, ctx) | _ext(m, memo, f.right, ctx),
+    Imp: lambda m, memo, f, ctx: m._frame.full
+        ^ _ext(m, memo, f.left, ctx) | _ext(m, memo, f.right, ctx),
+    Iff: lambda m, memo, f, ctx: m._frame.full
+        ^ _ext(m, memo, f.left, ctx) ^ _ext(m, memo, f.right, ctx),
     K: _box,
     D: _box,
     Share: _share,
-    ResolveInfo: lambda m, f, ctx: _ext(ctx.resolved(m, f.group), f.body, ctx),
+    ResolveInfo: _resolve,
     IdealAtom: _ideal,
     OkAtom: _ok,
     MetaFormula: _meta,
-}
+}.items()}
 
 
 def _states_where(flags) -> int:
@@ -204,12 +219,13 @@ def check(pm: PointedModel, f: Formula, ctx: EvalContext | None = None) -> Check
         ctx = EvalContext()
     m = pm.model
     g = expand(f)
+    memo = ctx._memo[m]
     i = m._frame.index[pm.point]
-    value = bool(_ext(m, g, ctx) >> i & 1)
+    value = bool(_ext(m, memo, g, ctx) >> i & 1)
     witness = None
     if not value:
         if isinstance(g, (K, D)):
-            miss = _reach(m, g)[i] & ~_ext(m, g.body, ctx)
+            miss = _reach(m, g)[i] & ~_ext(m, memo, g.body, ctx)
             index = m._frame.index
             witness = next(s for s in m.states if miss >> index[s] & 1)
         elif isinstance(g, Share):
@@ -223,4 +239,4 @@ def global_truth(m: Model, f: Formula, ctx: EvalContext | None = None) -> bool:
     """True iff the formula holds at every state."""
     if ctx is None:
         ctx = EvalContext()
-    return _ext(m, expand(f), ctx) == m._frame.full
+    return _ext(m, ctx._memo[m], expand(f), ctx) == m._frame.full

@@ -25,9 +25,10 @@ from knowpool.formula import (MAX_DEPTH, And, Atom, Bot, D, Everybody,
                               agents_of, atoms_of, expand, instantiate,
                               meta_agents_of, meta_formulas_of, parse,
                               print_formula, rebuild, substitute)
+from knowpool.kripke import Model
 from knowpool.lab import SCHEMAS, _pool_for
 from knowpool.presets import service_desk_deontic
-from knowpool.semantics import extension
+from knowpool.semantics import EvalContext, extension
 
 
 class TestParse:
@@ -329,6 +330,21 @@ class TestDepthBound:
         extension(service_desk_deontic(), expand(f))
         with pytest.raises(ParseError, match="deeper than %d" % MAX_DEPTH):
             parse(past)
+
+    @pytest.mark.parametrize("shape", ["share", "resolution"])
+    def test_debug_rederivation_fits_at_the_bound(self, shape):
+        # A debug context re-derives a hit by re-running its rule, whose
+        # subformulas are hits re-derived in turn, in the frames of a first
+        # evaluation.  On one state each share enters one model, so that is
+        # one chain down the nesting, not states ** depth evaluations.
+        m = Model(("w",), ("a", "b", "c"), ("p",),
+                  {a: ({"w"},) for a in "abc"}, {"w": {"p"}}, point="w")
+        f = expand(parse(self.SHAPES[shape][0]))
+        ctx = EvalContext(debug=True)
+        assert extension(m, f, ctx) == extension(m, f, ctx) == {"w"}
+        ctx._memo[m][Atom("p")] = 0  # as if the innermost entry were lost
+        with pytest.raises(AssertionError, match="diverged"):
+            extension(m, f, ctx)
 
     @pytest.mark.parametrize("text", [
         "(" * 250 + "p" + ")" * 250,

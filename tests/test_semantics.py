@@ -180,6 +180,19 @@ class TestContext:
             assert ctx.updated(m, w, "a", "c") is ctx.updated(m, w, "b", "c")
         assert ctx.updated(m, "w0", "b", "c") != m
 
+    def test_one_object_per_model_content(self):
+        # equal models reached by different update paths are one object,
+        # so the memo finds each by identity
+        ctx = EvalContext()
+        for fact in GOLDEN_FACTS:
+            m = PRESETS[fact.model]()
+            f = parse(fact.formula)
+            assert extension(m, f, ctx) == extension(m, f), fact.label
+        held = {id(out): out for memo in ctx._memo.values()
+                for out in memo.values() if isinstance(out, Model)}
+        assert len(held) > 1
+        assert len(set(held.values())) == len(held)
+
     def test_debug_context_agrees_with_fresh(self):
         facts = ["[a>c]K{c}(p->q)", "Rk{a,b,c}E{a,b,c}(p->q)", "K{c|a,b}q"]
         m = service_desk()
