@@ -26,10 +26,15 @@ is one, so only a new node is built and validated.  Equal formulas are one
 object, equality and hashing go by identity, and a formula is a DAG whose
 shared subformulas (the body of an expanded `E`) are stored and walked
 once.  The node classes are dataclasses for `fields` and `replace` only:
-the constructor, `repr` and immutability are written once, on `Formula`,
-so importing the module compiles no per-class methods.  A call that does
-not give every field in order is bound by Python itself, through a
-signature compiled for its class on first use (`_binder`).
+the constructor is written once, on `Formula`, so importing the module
+compiles no per-class methods.  A call that does not give every field in
+order is bound by Python itself, through a signature compiled for its
+class on first use (`_binder`).
+
+The package's frozen records (`Record`: a schema, a pointed model, a plan,
+a check result, the lab's reports and configurations) are built the same
+way, with equality and hash by field values; `repr` and immutability are
+written once for nodes and records alike (`_Frozen`).
 """
 
 from __future__ import annotations
@@ -120,10 +125,10 @@ class _Interned(type):
 
 @functools.cache
 def _binder(cls: type) -> Callable:
-    """`__init__(self, *fields)` of a node class, with the fields'
-    defaults, returning the field values in order: Python binds a call's
-    keywords and defaults and raises its own `TypeError` for a call that
-    does not fit.  Compiled on the first call that needs binding."""
+    """`__init__(self, *fields)` of a node or record class, with the
+    fields' defaults, returning the field values in order: Python binds a
+    call's keywords and defaults and raises its own `TypeError` for a call
+    that does not fit.  Compiled on the first call that needs binding."""
     names = ", ".join(cls.__match_args__)
     scope = {}
     exec("def __init__(self, %s): return [%s]" % (names, names), scope)
@@ -135,11 +140,36 @@ def _binder(cls: type) -> Callable:
 
 @functools.cache
 def _defaults(cls: type) -> tuple:
-    """The default of each field of a node class, MISSING for none."""
+    """The default of each field of a node or record class, MISSING for
+    none."""
     return tuple(fld.default for fld in fields(cls))
 
 
-class Formula(metaclass=_Interned):
+class _Frozen:
+    """What nodes and records share: the dataclass `repr`, immutability,
+    and copies and pickles rebuilt through the class's constructor."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self.__match_args__,
+                                           self._values())))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+
+class Formula(_Frozen, metaclass=_Interned):
     """Base class for formula nodes.  Nodes are immutable and interned:
     equal nodes are the same object, so equality and hashing go by
     identity.  Each node caches its kernel expansion (`expand`)."""
@@ -147,22 +177,6 @@ class Formula(metaclass=_Interned):
     __slots__ = ()
     # the kernel expansion once computed; _KERNEL on a kernel node
     _kernel = None
-
-    def __reduce__(self):
-        # copies and unpickled nodes go through the interning constructor
-        return type(self), tuple(getattr(self, name)
-                                 for name in self.__match_args__)
-
-    def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name))
-            for name in self.__match_args__))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError("cannot delete field %r" % name)
 
     def __post_init__(self):
         # every subformula and agent slot the role table names, in field
@@ -194,13 +208,56 @@ class Formula(metaclass=_Interned):
         return print_formula(self)
 
 
-# Node classes: dataclasses for `fields` and `replace`, with no generated
-# methods (`Formula` builds, prints and freezes every node); equality and
+# the records' binders, cached apart from the nodes' (records with defaults
+# or keyword calls are built at import; nodes bind nothing there)
+_record_binder = functools.cache(_binder.__wrapped__)
+
+
+class Record(_Frozen):
+    """Base class for the frozen records (a schema, a pointed model, a
+    plan, a check result, the lab's reports and configurations): the one
+    constructor, and equality and hash by field values between records of
+    one class.  A call that gives every field in order binds nothing;
+    any other call is bound by `_record_binder`.  A subclass may validate
+    its fields in `__post_init__`, as a dataclass does."""
+
+    __slots__ = ()
+    __post_init__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__  # the fields in order, set by dataclass
+        if kwargs or len(args) != len(names):
+            args = _record_binder(type(self))(None, *args, **kwargs)
+        # into `__dict__` by index: `update(zip(...))` built a 2-field
+        # record about 1.5 times slower, and a store per field through
+        # `object.__setattr__`, which keeps later reads on the faster
+        # inline-value path, about 1.3 times; a record is read only a few
+        # times after it is built
+        attrs, i = self.__dict__, 0
+        for name in names:
+            attrs[name] = args[i]
+            i += 1
+        check = self.__post_init__
+        if check is not None:
+            check()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+
+# Node and record classes are dataclasses for `fields` and `replace` only,
+# with no generated methods: `Formula` builds every node and `Record` every
+# record, and `_Frozen` prints and freezes both.  A node's equality and
 # hash stay identity.
-_node = dataclass(init=False, repr=False, eq=False)
+_fields_only = dataclass(init=False, repr=False, eq=False)
 
 
-@_node
+@_fields_only
 class Atom(Formula):
     """Propositional atom."""
 
@@ -211,29 +268,29 @@ class Atom(Formula):
             raise FormulaError("bad atom name %r" % (self.name,))
 
 
-@_node
+@_fields_only
 class Top(Formula):
     """The constant true."""
 
 
-@_node
+@_fields_only
 class Bot(Formula):
     """The constant false."""
 
 
-@_node
+@_fields_only
 class IdealAtom(Formula):
     """Holds at states that belong to some ideal pair."""
 
 
-@_node
+@_fields_only
 class OkAtom(Formula):
     """Holds where the agent's cell meets the ideal partners of the state."""
 
     agent: str
 
 
-@_node
+@_fields_only
 class MetaFormula(Formula):
     """Schema variable standing for an arbitrary formula."""
 
@@ -244,14 +301,14 @@ class MetaFormula(Formula):
             raise FormulaError("bad schema variable %r" % (self.name,))
 
 
-@_node
+@_fields_only
 class Not(Formula):
     """Negation."""
 
     body: Formula
 
 
-@_node
+@_fields_only
 class And(Formula):
     """Conjunction."""
 
@@ -259,7 +316,7 @@ class And(Formula):
     right: Formula
 
 
-@_node
+@_fields_only
 class Or(Formula):
     """Disjunction."""
 
@@ -267,7 +324,7 @@ class Or(Formula):
     right: Formula
 
 
-@_node
+@_fields_only
 class Imp(Formula):
     """Implication."""
 
@@ -275,7 +332,7 @@ class Imp(Formula):
     right: Formula
 
 
-@_node
+@_fields_only
 class Iff(Formula):
     """Biconditional."""
 
@@ -283,7 +340,7 @@ class Iff(Formula):
     right: Formula
 
 
-@_node
+@_fields_only
 class K(Formula):
     """Knowledge of `agent`, relative to the information of `deps`.
 
@@ -301,7 +358,7 @@ class K(Formula):
             raise FormulaError("agent %r cannot be its own dependency" % self.agent)
 
 
-@_node
+@_fields_only
 class D(Formula):
     """Distributed knowledge of a group."""
 
@@ -309,7 +366,7 @@ class D(Formula):
     body: Formula
 
 
-@_node
+@_fields_only
 class Share(Formula):
     """Body holds after the sender shares with the receiver."""
 
@@ -318,7 +375,7 @@ class Share(Formula):
     body: Formula
 
 
-@_node
+@_fields_only
 class ResolveInfo(Formula):
     """Body holds after the group pools raw information (cell intersection)."""
 
@@ -326,7 +383,7 @@ class ResolveInfo(Formula):
     body: Formula
 
 
-@_node
+@_fields_only
 class Everybody(Formula):
     """Defined: conjunction of individual knowledge over the group."""
 
@@ -334,7 +391,7 @@ class Everybody(Formula):
     body: Formula
 
 
-@_node
+@_fields_only
 class Resolution(Formula):
     """Defined: round-trip share chain through the group, in listed order."""
 
@@ -342,7 +399,7 @@ class Resolution(Formula):
     body: Formula
 
 
-@_node
+@_fields_only
 class LeaderResolution(Formula):
     """Defined: one-way share chain from the leader through the group."""
 
@@ -357,7 +414,7 @@ class LeaderResolution(Formula):
                                % (self.leader, self.group))
 
 
-@_node
+@_fields_only
 class Permitted(Formula):
     """Defined: the agent knows the body and is in an allowed position."""
 
@@ -365,7 +422,7 @@ class Permitted(Formula):
     body: Formula
 
 
-@_node
+@_fields_only
 class Obliged(Formula):
     """Defined: not permitted to have the body false."""
 
@@ -373,7 +430,7 @@ class Obliged(Formula):
     body: Formula
 
 
-@_node
+@_fields_only
 class PermittedShare(Formula):
     """Defined: after sender shares with receiver, the receiver is allowed."""
 
@@ -856,8 +913,8 @@ def substitute(f: Formula, formulas: Mapping | None = None,
     return go(f)
 
 
-@dataclass(frozen=True)
-class Schema:
+@_fields_only
+class Schema(Record):
     """A named formula template with uppercase placeholders."""
 
     name: str

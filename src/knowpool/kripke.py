@@ -17,11 +17,15 @@ the valuation classes, of the model it came from.  The public functions
 read state names off the masks and list them in the order of `m.states`.
 
 `atoms_partition` computes the modal-equivalence blocks of the static
-language by partition refinement on masks (Paige and Tarjan 1987): starting
-from the valuation classes, a block is split by the states whose cell,
-under some agent, meets another block, until no block splits.  Each model
-is refined from its valuation classes, never from the blocks of the model
-it was updated from, since a share can merge blocks as well as split them.
+language by naive partition refinement on masks: starting from the
+valuation classes, each pass takes every block B and every agent, and
+splits every block by the states whose cell under that agent meets B,
+until a pass splits nothing.  A pass costs about blocks x agents x (cells +
+blocks) mask operations, and there are at most as many passes as states;
+there is no splitter queue, so this is not Paige and Tarjan's (1987)
+O(m log n) algorithm.  Each model is refined from its valuation classes,
+never from the blocks of the model it was updated from, since a share can
+merge blocks as well as split them.
 `dep_closure(m, a, w)` returns cl_a(w), the union of blocks meeting the
 cell of w under a's relation; the induced dependence relation at w is then
 "same block, or both inside cl_a(w)".  `fingerprint` needs colours that
@@ -31,10 +35,9 @@ compare across models, so it refines ranked colours (`_refine`) instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .formula import _is_name
+from .formula import Record, _fields_only, _is_name
 
 
 class ModelError(ValueError):
@@ -330,8 +333,8 @@ class Model:
             list(self.states), list(self.agents), self.point)
 
 
-@dataclass(frozen=True)
-class PointedModel:
+@_fields_only
+class PointedModel(Record):
     model: Model
     point: str
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .formula import (And, Atom, Formula, IdealAtom, Iff, Imp, K, Not,
-                      OkAtom, Or, PermittedShare, Schema, Share, expand,
-                      instantiate, meta_agents_of, meta_formulas_of, parse,
-                      rebuild)
+                      OkAtom, Or, PermittedShare, Record, Schema, Share,
+                      _fields_only, expand, instantiate, meta_agents_of,
+                      meta_formulas_of, parse, rebuild)
 # unused here; bench/layers.py traces `lab.substitute` by name
 from .formula import substitute  # noqa: F401
 from .kripke import Model, atoms_partition, dep_closure
@@ -46,8 +46,8 @@ EXHAUSTIVE = (3, 2, 2)
 INVALIDITY_TIER = (4, 2, 2)
 
 
-@dataclass(frozen=True)
-class GenConfig:
+@_fields_only
+class GenConfig(Record):
     """Shape of the random model tier; the seed pins every draw."""
 
     max_states: int = 5
@@ -151,8 +151,8 @@ def enumerate_models(max_states: int, n_agents: int, n_atoms: int,
 # schema registry
 
 
-@dataclass(frozen=True)
-class SchemaSpec:
+@_fields_only
+class SchemaSpec(Record):
     name: str
     template: str | None          # None runs the checker `_CHECKERS[name]`;
                                   # a rule's is "(premise) -> (conclusion)"
@@ -259,8 +259,8 @@ RULES = tuple(s.name for s in _SPECS if s.expect == "rule")
 REPORT_ONLY = tuple(s.name for s in _SPECS if s.expect == "report")
 
 
-@dataclass(frozen=True)
-class LabReport:
+@_fields_only
+class LabReport(Record):
     """Outcome of one schema check over a model bank."""
 
     name: str
@@ -487,8 +487,8 @@ def run_all(cfg: GenConfig = DEFAULT_CONFIG):
 # golden facts for the built-in models
 
 
-@dataclass(frozen=True)
-class GoldenFact:
+@_fields_only
+class GoldenFact(Record):
     label: str
     model: str
     formula: str
@@ -562,8 +562,8 @@ GOLDEN_FACTS = (
 )
 
 
-@dataclass(frozen=True)
-class FactResult:
+@_fields_only
+class FactResult(Record):
     fact: GoldenFact
     got: bool
 
@@ -572,8 +572,8 @@ class FactResult:
         return self.got == self.fact.expected
 
 
-@dataclass(frozen=True)
-class ReadingResult:
+@_fields_only
+class ReadingResult(Record):
     """One permission fact under the two readings of the Ok conjunct."""
 
     label: str
@@ -582,8 +582,8 @@ class ReadingResult:
     possibility: bool     # receiver considers some ideal state possible
 
 
-@dataclass(frozen=True)
-class ReferenceReport:
+@_fields_only
+class ReferenceReport(Record):
     facts: tuple
     readings: tuple
     schemas: tuple

@@ -16,16 +16,18 @@ it copies does, and breadth-first order reaches that node first.
 
 One map, `came_from`, records each node reached with the node and share it
 came from; only permissible nodes enter it in a permissible search.  The
-plan is read back off that map at the goal, and each step's verdict is
-judged on the node that step made, so no model is built twice.
+goal is tested on each node as it is reached, in queue order, which finds
+the same first goal node as a test at dequeue without expanding the rest
+of its layer.  The plan is read back off that map at the goal, and each
+step's verdict is judged on the node that step made, so no model is built
+twice.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .formula import Formula, OkAtom
+from .formula import Formula, OkAtom, Record, _fields_only
 from .kripke import Model, PointedModel
 # unused by the planner; bench/layers.py traces `norms.fingerprint` by name
 from .kripke import fingerprint  # noqa: F401
@@ -33,8 +35,8 @@ from .semantics import EvalContext, EvalError, extension
 from .update import share_update
 
 
-@dataclass(frozen=True)
-class Plan:
+@_fields_only
+class Plan(Record):
     """A share sequence, the per-step verdicts, and the goal outcome."""
 
     steps: tuple
@@ -86,21 +88,14 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
         raise EvalError("permissible planning needs an ideal relation; "
                         "pass require_permissible=False for a free search")
     ctx = EvalContext()
+    if w in extension(base, goal, ctx):
+        return Plan((), (), goal, True)
     agents = sorted(base.agents)
     pairs = [(x, y) for x in agents for y in agents if x != y]
     came_from = {base: None}  # node -> (previous node, share)
     queue = deque([(base, 0)])
     while queue:
         m, depth = queue.popleft()
-        if w in extension(m, goal, ctx):
-            # walk back; each verdict is judged on the node its step made
-            steps, verdicts = [], []
-            while came_from[m] is not None:
-                prev, share = came_from[m]
-                steps.append(share)
-                verdicts.append(_verdict(m, w, share[1], ctx))
-                m = prev
-            return Plan(tuple(steps[::-1]), tuple(verdicts[::-1]), goal, True)
         if max_len is not None and depth >= max_len:
             continue
         for share in pairs:
@@ -110,5 +105,19 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
             if require_permissible and not _verdict(nxt, w, share[1], ctx):
                 continue
             came_from[nxt] = (m, share)
+            if w in extension(nxt, goal, ctx):
+                return _plan_to(nxt, came_from, w, goal, ctx)
             queue.append((nxt, depth + 1))
     return None
+
+
+def _plan_to(m: Model, came_from: dict, w: str, goal: Formula,
+             ctx: EvalContext) -> Plan:
+    # walk back; each verdict is judged on the node its step made
+    steps, verdicts = [], []
+    while came_from[m] is not None:
+        prev, share = came_from[m]
+        steps.append(share)
+        verdicts.append(_verdict(m, w, share[1], ctx))
+        m = prev
+    return Plan(tuple(steps[::-1]), tuple(verdicts[::-1]), goal, True)

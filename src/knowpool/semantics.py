@@ -24,11 +24,10 @@ closure, so senders with equal closures share one updated model.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .formula import (_AGENT, And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp,
-                      K, MetaFormula, Not, OkAtom, Or, ResolveInfo, Share, Top,
-                      _agent_fields, expand)
+                      K, MetaFormula, Not, OkAtom, Or, Record, ResolveInfo,
+                      Share, Top, _agent_fields, _fields_only, expand)
 from .kripke import Model, PointedModel, _meet, save
 # unused here; bench/layers.py traces `semantics.dep_closure` by name
 from .kripke import dep_closure  # noqa: F401
@@ -201,8 +200,8 @@ def _need_ideal(m: Model, what: str) -> None:
         raise EvalError("%s needs a model with an ideal relation" % what)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+@_fields_only
+class CheckResult(Record):
     value: bool
     state: str
     witness: object = None

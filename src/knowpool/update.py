@@ -33,6 +33,8 @@ def share_update(m: Model, w: str, a: str, b: str) -> Model:
     # the dependence relation at w: cl_a(w) is one class, and each block
     # outside it another; it cuts the target cell into the pieces it meets
     target = m._cell_at[b][i]
+    if not target & ~m._cell_at[a][i]:  # inside a's cell, so inside cl_a(w)
+        return m
     outside = target & ~m._closure_at(a)[i]
     if not outside:
         return m

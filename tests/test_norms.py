@@ -106,6 +106,22 @@ def test_a_found_plan_builds_each_update_once(monkeypatch, build, text, perm):
     assert len(built) == len(set(built))
 
 
+def test_the_goal_is_tested_when_a_node_is_reached(monkeypatch):
+    # K{c}(p->q) holds after the second share tried from the start, so the
+    # search stops there instead of finishing the start's layer first
+    built = []
+
+    def counting(m, w, sender, receiver):
+        built.append((sender, receiver))
+        return share_update(m, w, sender, receiver)
+
+    monkeypatch.setattr(norms, "share_update", counting)
+    out = plan(pointed(service_desk()), parse("K{c}(p->q)"),
+               require_permissible=False)
+    assert out.steps == (("a", "c"),)
+    assert built == [("a", "b"), ("a", "c")]
+
+
 def _same_as_oracle(pm, goal, perm):
     for budget in BUDGETS:
         got = plan(pm, goal, max_len=budget, require_permissible=perm)

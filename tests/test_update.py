@@ -44,6 +44,14 @@ class TestShare:
         m = service_desk()
         assert share_update(m, "s0", "a", "a") is m
 
+    def test_a_receiver_inside_the_senders_cell_needs_no_closure(
+            self, monkeypatch):
+        # b's cell of s0 lies inside c's, so inside cl_c(s0): nothing to cut
+        m = service_desk()
+        monkeypatch.setattr(Model, "_closure_at",
+                            lambda *args: pytest.fail("closure computed"))
+        assert share_update(m, "s0", "c", "b") is m
+
     def test_unknown_names_rejected(self):
         m = service_desk()
         with pytest.raises(ModelError):
