@@ -8,24 +8,26 @@ evaluation point.
 Inside, a set of states is an int mask whose bit i stands for the i-th
 state in name order, the explicit-state bitset representation of epistemic
 model checkers; the order of `m.states` is presentation.  Equal models
-therefore hold equal masks.  A model holds each agent's partition once,
-as the cell mask of every state by bit, and each atom's valuation mask
-and each state's ideal partners; the definability blocks and the
-dependence closures are derived from these on first use.  An updated model
-(`replace_relations`) shares the states, valuation and ideal masks, and
-the valuation classes, of the model it came from.  The public functions
-read state names off the masks and list them in the order of `m.states`.
+therefore hold equal masks.  A model holds each agent's partition once, as
+the cell mask of every state by bit, and each atom's valuation mask and
+each state's ideal partners; the definability block and the dependence
+closures of each state are derived from these on first use, and kept by bit
+as the cells are.  An updated model (`replace_relations`) shares the
+states, valuation and ideal masks, and the valuation classes, of the model
+it came from.  The public functions read state names off the masks and list
+them in the order of `m.states`.
 
 `atoms_partition` computes the modal-equivalence blocks of the static
-language by naive partition refinement on masks: starting from the
-valuation classes, each pass takes every block B and every agent, and
-splits every block by the states whose cell under that agent meets B,
-until a pass splits nothing.  A pass costs about blocks x agents x (cells +
-blocks) mask operations, and there are at most as many passes as states;
-there is no splitter queue, so this is not Paige and Tarjan's (1987)
-O(m log n) algorithm.  Each model is refined from its valuation classes,
-never from the blocks of the model it was updated from, since a share can
-merge blocks as well as split them.
+language by signature refinement, the hashing form of naive refinement
+(Kanellakis and Smolka 1990): starting from the valuation classes, each
+round gives every state the signature (its block, its closure under each
+agent), the closure being the union of the blocks its cell meets, and the
+states with equal signatures form the next blocks, until a round adds no
+block.  A round costs O(states x agents) dictionary operations, and there
+are at most as many rounds as states; the last round's closures are the
+model's.  Each model is refined from its valuation classes, never from the
+blocks of the model it was updated from, since a share can merge blocks as
+well as split them.
 `dep_closure(m, a, w)` returns cl_a(w), the union of blocks meeting the
 cell of w under a's relation; the induced dependence relation at w is then
 "same block, or both inside cl_a(w)".  `fingerprint` needs colours that
@@ -65,11 +67,11 @@ def _meet(arrays: list) -> tuple:
 
 class _Frame:
     """What a model shares with every model updated from it: the state
-    names in bit order (name order) and the bit of each, the valuation and
-    ideal relation as masks, the valuation classes (the states with equal
-    valuations) as masks, and the hash of the name-level content."""
+    names in bit order (name order), the bit of each and the mask of all,
+    each atom's valuation mask, each state's valuation class and ideal
+    partners as masks by bit, and the hash of the name-level content."""
 
-    __slots__ = ("names", "index", "full", "val", "classes", "partners",
+    __slots__ = ("names", "index", "full", "val", "class_at", "partners",
                  "hash")
 
     def __init__(self, states: tuple, agents: tuple, atoms: tuple,
@@ -83,7 +85,7 @@ class _Frame:
             for p in val[s]:
                 masks[p] = masks.get(p, 0) | 1 << i
             classes[val[s]] = classes.get(val[s], 0) | 1 << i
-        self.classes = tuple(classes.values())
+        self.class_at = tuple([classes[val[s]] for s in self.names])
         partners = [0] * len(states)
         for pair in ideal or ():
             ends = [index[s] for s in pair]  # one state for a loop
@@ -118,7 +120,7 @@ class Model:
     """Immutable by convention: operations return fresh models."""
 
     __slots__ = ("states", "agents", "atoms", "val", "ideal", "point",
-                 "_frame", "_cell_at", "_blocks", "_closure",
+                 "_frame", "_cell_at", "_block_at", "_closure",
                  "_hash", "__weakref__")
 
     def __init__(self, states: Iterable, agents: Iterable, atoms: Iterable,
@@ -167,7 +169,7 @@ class Model:
         for a in self.agents:
             if a not in self._cell_at:  # no relation: every state apart
                 self._cell_at[a] = tuple(1 << i for i in range(len(states)))
-        self._blocks = self._closure = self._hash = None
+        self._block_at = self._closure = self._hash = None
 
     def _check_names(self) -> None:
         # types first: a list given as a name must not reach set() or dict
@@ -243,11 +245,11 @@ class Model:
 
     # -- masks derived on first use
 
-    def _block_masks(self) -> tuple:
-        """The definability blocks, ordered by their first state."""
-        if self._blocks is None:
+    def _blocks(self) -> tuple:
+        """The definability block of each state, by bit."""
+        if self._block_at is None:
             self._definability()
-        return self._blocks
+        return self._block_at
 
     def _closure_at(self, agent: str) -> tuple:
         """cl_agent(w) of each state w, by bit."""
@@ -256,43 +258,25 @@ class Model:
         return self._closure[agent]
 
     def _definability(self) -> None:
-        # In each pass, every block present at its start and every agent
-        # give the states whose cell meets that block, which split each
-        # class they cut.  A pass that splits nothing, or blocks of one
-        # state each, leave the partition stable.
-        cells = [dict.fromkeys(at) for at in self._cell_at.values()]
-        blocks = self._frame.classes
-        while len(blocks) < len(self.states):
-            start = blocks
-            for b in start:
-                for agent_cells in cells:
-                    pre = 0
-                    for cell in agent_cells:
-                        if cell & b:
-                            pre |= cell
-                    split = []
-                    for c in blocks:
-                        inside = c & pre
-                        if inside and inside != c:
-                            split += (inside, c ^ inside)
-                        else:
-                            split.append(c)
-                    blocks = split
-            if len(blocks) == len(start):
+        # A state's signature is its block and its closure under each
+        # agent; equal signatures make the next blocks, which refine the
+        # current ones, so a round that adds no block leaves them stable.
+        block_at = self._frame.class_at
+        while True:
+            closure = {}
+            for a, at in self._cell_at.items():
+                cl = {}  # each cell's closure: the blocks of its states
+                for cell, block in zip(at, block_at):
+                    cl[cell] = cl.get(cell, 0) | block
+                closure[a] = tuple([cl[cell] for cell in at])
+            sigs = list(zip(block_at, *closure.values()))
+            blocks = {}
+            for i, sig in enumerate(sigs):
+                blocks[sig] = blocks.get(sig, 0) | 1 << i
+            if len(blocks) == len(set(block_at)):
                 break
-        block_at = [0] * len(self.states)
-        for b in blocks:
-            for i in _members(b):
-                block_at[i] = b
-        closure = {}
-        for a, at in self._cell_at.items():
-            cl = {}  # each cell's closure: the blocks of its states
-            for cell, block in zip(at, block_at):
-                cl[cell] = cl.get(cell, 0) | block
-            closure[a] = tuple([cl[cell] for cell in at])
-        index = self._frame.index
-        self._blocks = tuple(dict.fromkeys(block_at[index[s]]
-                                           for s in self.states))
+            block_at = tuple([blocks[sig] for sig in sigs])
+        self._block_at = block_at
         self._closure = closure
 
     def replace_relations(self, cells: Mapping) -> "Model":
@@ -306,7 +290,7 @@ class Model:
         new.val, new.ideal, new.point = self.val, self.ideal, self.point
         new._frame = self._frame
         new._cell_at = {**self._cell_at, **cells}
-        new._blocks = new._closure = new._hash = None
+        new._block_at = new._closure = new._hash = None
         return new
 
     # -- equality by content: states and atoms as sets, agents as the keys
@@ -363,20 +347,39 @@ def atoms_partition(m: Model) -> tuple:
     Two states end up in the same block iff they satisfy the same formulas
     of the static language, so blocks are the definable building bricks.
     """
-    return tuple(map(m._names, m._block_masks()))
+    blocks, index = m._blocks(), m._frame.index
+    return tuple(map(m._names,
+                     dict.fromkeys(blocks[index[s]] for s in m.states)))
+
+
+def _check_agent(m: Model, a) -> None:
+    if not (isinstance(a, str) and a in m._cell_at):
+        raise ModelError("unknown agent %r" % (a,))
+
+
+def _state_bit(m: Model, w) -> int:
+    """The bit of state `w` in `m`'s masks."""
+    i = m._frame.index.get(w) if isinstance(w, str) else None
+    if i is None:
+        raise ModelError("unknown state %r" % (w,))
+    return i
 
 
 def dep_closure(m: Model, agent: str, state: str) -> frozenset:
     """cl_a(w): union of definability blocks meeting the cell of w under a."""
-    return m._names(m._closure_at(agent)[m._frame.index[state]])
+    _check_agent(m, agent)
+    return m._names(m._closure_at(agent)[_state_bit(m, state)])
 
 
 def dep_partition(m: Model, agent: str, state: str) -> tuple:
     """The dependence relation at `state` as a tuple of classes: cl_a(w) is
     one class, and every block outside it stays its own class."""
-    cl = m._closure_at(agent)[m._frame.index[state]]
+    _check_agent(m, agent)
+    cl = m._closure_at(agent)[_state_bit(m, state)]
+    blocks, index = m._blocks(), m._frame.index
     # cl is a union of blocks, so it takes the place of its first block
-    pieces = dict.fromkeys(cl if b & cl else b for b in m._block_masks())
+    pieces = dict.fromkeys(cl if cl >> i & 1 else blocks[i]
+                           for i in map(index.__getitem__, m.states))
     return tuple(map(m._names, pieces))
 
 

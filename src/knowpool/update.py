@@ -15,40 +15,33 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .kripke import Model, ModelError, PointedModel, _meet, _members
-
-
-def _check_agent(m: Model, a: str) -> None:
-    if a not in m._cell_at:
-        raise ModelError("unknown agent %r" % (a,))
+from .kripke import (Model, ModelError, PointedModel, _check_agent, _meet,
+                     _members, _state_bit)
 
 
 def share_update(m: Model, w: str, a: str, b: str) -> Model:
     """The model after sender `a` conveys their knowledge to receiver `b` at `w`."""
-    i = m._frame.index.get(w)
-    if i is None:
-        raise ModelError("unknown state %r" % (w,))
+    i = _state_bit(m, w)
     _check_agent(m, a)
     _check_agent(m, b)
     # the dependence relation at w: cl_a(w) is one class, and each block
-    # outside it another; it cuts the target cell into the pieces it meets
+    # outside it another; each state of b's cell keeps its class's part
     target = m._cell_at[b][i]
     if not target & ~m._cell_at[a][i]:  # inside a's cell, so inside cl_a(w)
         return m
     outside = target & ~m._closure_at(a)[i]
     if not outside:
         return m
-    pieces = [outside & block for block in m._block_masks()]
+    inside, blocks = target ^ outside, m._blocks()
     at = list(m._cell_at[b])
-    for piece in pieces + [target ^ outside]:
-        for j in _members(piece):
-            at[j] = piece
+    for j in _members(target):
+        at[j] = outside & blocks[j] if outside >> j & 1 else inside
     return m.replace_relations({b: tuple(at)})
 
 
 def resolve_update(m: Model, group: Iterable) -> Model:
     """Every group member's relation becomes the meet of the group's relations."""
-    members = tuple(dict.fromkeys(group))
+    members = tuple(group)  # a repeated member changes nothing
     if not members:
         raise ModelError("resolution needs a non-empty group")
     for g in members:

@@ -322,6 +322,14 @@ class TestExamples:
         assert capsys.readouterr().out == recorded.read_text()
 
 
+def test_lab_output_is_byte_identical_to_the_recording(capsys):
+    # every share reads the definability blocks and closures, so a change
+    # to either must leave the whole laboratory report as recorded
+    recorded = Path(__file__).with_name("lab_output.txt")
+    assert main(["lab"]) == 1
+    assert capsys.readouterr().out == recorded.read_text()
+
+
 @pytest.mark.parametrize("argv", [
     ["lab", "--schema", "kt", "--samples", "-5"],
     ["lab", "--schema", "kt", "--max-states", "-1"],

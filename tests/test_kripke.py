@@ -21,6 +21,19 @@ from knowpool.presets import (PRESETS, overlap, service_desk,
 from oracles import equiv_classes, isomorphic, naive_blocks, permuted
 
 
+def disjoint_union(models):
+    """One model holding a renamed copy of each model, with no relation
+    linking two copies; the models must share their agents and atoms."""
+    states, rel, val = [], {}, {}
+    for k, m in enumerate(models):
+        name = ("m%d_" % k).__add__
+        states += map(name, m.states)
+        for a in m.agents:
+            rel.setdefault(a, []).extend(set(map(name, c)) for c in m.cells(a))
+        val.update((name(s), m.val[s]) for s in m.states)
+    return Model(states, m.agents, m.atoms, rel, val)
+
+
 def tiny(rel_a=({"u", "v"},), ideal=None, point=None):
     return Model(("u", "v"), ("a",), ("p",), {"a": rel_a},
                  {"u": {"p"}, "v": set()}, ideal=ideal, point=point)
@@ -380,10 +393,18 @@ class TestBlocks:
         assert frozenset({"v"}) in set(atoms_partition(m))
 
     def test_matches_naive_oracle_on_samples(self):
+        # the bank models have at most 5 states; their disjoint union has
+        # hundreds, many blocks, and blocks that span its parts
         cfg = GenConfig(samples=60)
-        for i in range(60):
-            m = gen_model(cfg, i)
-            assert set(atoms_partition(m)) == set(naive_blocks(m))
+        models = [gen_model(cfg, i) for i in range(60)]
+        for m in models + [disjoint_union(gen_model(GenConfig(), i)
+                                          for i in range(100))]:
+            blocks = naive_blocks(m)
+            assert set(atoms_partition(m)) == set(blocks)
+            for a in m.agents:
+                for w in m.states:
+                    met = [b for b in blocks if b & m.cell(a, w)]
+                    assert dep_closure(m, a, w) == frozenset().union(*met)
 
     def test_updated_models_match_naive_oracle(self):
         # a share can make blocks finer or coarser, so each updated model
@@ -426,6 +447,14 @@ class TestDepClosure:
                     cl = dep_closure(m, a, w)
                     for u in m.cell(a, w):
                         assert dep_closure(m, a, u) == cl
+
+    @pytest.mark.parametrize("lookup", [dep_closure, dep_partition])
+    @pytest.mark.parametrize("agent, state", [
+        ("z", "s0"), ("a", "zz"), (["a"], "s0"), ("a", ["s0"]),
+        (None, "s0"), ("a", 0)])
+    def test_unknown_names_are_model_errors(self, lookup, agent, state):
+        with pytest.raises(ModelError, match="unknown"):
+            lookup(service_desk(), agent, state)
 
     def test_partition_shape(self):
         m = service_desk()

@@ -61,6 +61,13 @@ class TestShare:
         with pytest.raises(ModelError):
             share_update(m, "s0", "a", "zz")
 
+    @pytest.mark.parametrize("w, a, b", [
+        (["s0"], "a", "b"), ({"s0"}, "a", "b"), ("s0", ["a"], "b"),
+        ("s0", "a", ["b"])])
+    def test_unhashable_names_are_unknown(self, w, a, b):
+        with pytest.raises(ModelError, match="unknown"):
+            share_update(service_desk(), w, a, b)
+
     def test_service_desk_single_shares(self):
         m = service_desk()
         assert set(share_update(m, "s0", "a", "c").cells("c")) == \
@@ -180,6 +187,12 @@ class TestResolve:
     def test_empty_group_rejected(self):
         with pytest.raises(ModelError):
             resolve_update(service_desk(), ())
+
+    @pytest.mark.parametrize("group", [(["a"], "b"), ("a", {"b"}),
+                                       ("a", None)])
+    def test_unknown_members_rejected(self, group):
+        with pytest.raises(ModelError, match="unknown agent"):
+            resolve_update(service_desk(), group)
 
     def test_single_member_is_identity(self):
         m = service_desk()
