@@ -15,7 +15,9 @@ closures of each state are derived from these on first use, and kept by bit
 as the cells are.  An updated model (`replace_relations`) shares the
 states, valuation and ideal masks, and the valuation classes, of the model
 it came from.  The public functions read state names off the masks and list
-them in the order of `m.states`.
+them in the order of `m.states`; a name a caller gives reaches the masks
+through `_relation` (agents) or `_state_bit` (states), which raise
+`ModelError` for a name the model lacks.
 
 `atoms_partition` computes the modal-equivalence blocks of the static
 language by signature refinement, the hashing form of naive refinement
@@ -225,23 +227,27 @@ class Model:
         names = self._frame.names
         return frozenset([names[i] for i in _members(mask)])
 
+    def _classes(self, class_of) -> tuple:
+        """The classes `class_of` maps each state's bit to, as name sets
+        ordered by their first state."""
+        bits = map(self._frame.index.__getitem__, self.states)
+        return tuple(map(self._names, dict.fromkeys(map(class_of, bits))))
+
     @property
     def rel(self) -> dict:
         """Each agent's cells, as `cells` gives them."""
         return {a: self.cells(a) for a in self._cell_at}
 
     def cell(self, agent: str, state: str) -> frozenset:
-        return self._names(self._cell_at[agent][self._frame.index[state]])
+        return self._names(_relation(self, agent)[_state_bit(self, state)])
 
     def cells(self, agent: str) -> tuple:
         """The agent's cells, ordered by their first state."""
-        at, index = self._cell_at[agent], self._frame.index
-        return tuple(map(self._names,
-                         dict.fromkeys(at[index[s]] for s in self.states)))
+        return self._classes(_relation(self, agent).__getitem__)
 
     def ideal_partners(self, state: str) -> frozenset:
         """O[state]: the states ideally related to this one."""
-        return self._names(self._frame.partners[self._frame.index[state]])
+        return self._names(self._frame.partners[_state_bit(self, state)])
 
     # -- masks derived on first use
 
@@ -347,40 +353,39 @@ def atoms_partition(m: Model) -> tuple:
     Two states end up in the same block iff they satisfy the same formulas
     of the static language, so blocks are the definable building bricks.
     """
-    blocks, index = m._blocks(), m._frame.index
-    return tuple(map(m._names,
-                     dict.fromkeys(blocks[index[s]] for s in m.states)))
+    return m._classes(m._blocks().__getitem__)
 
 
-def _check_agent(m: Model, a) -> None:
-    if not (isinstance(a, str) and a in m._cell_at):
-        raise ModelError("unknown agent %r" % (a,))
+def _relation(m: Model, a) -> tuple:
+    """Agent `a`'s cell of each state, by bit, if `m` has that agent."""
+    try:
+        return m._cell_at[a]
+    except (KeyError, TypeError):  # not a name, or not the model's
+        raise ModelError("unknown agent %r" % (a,)) from None
 
 
 def _state_bit(m: Model, w) -> int:
     """The bit of state `w` in `m`'s masks."""
-    i = m._frame.index.get(w) if isinstance(w, str) else None
-    if i is None:
-        raise ModelError("unknown state %r" % (w,))
-    return i
+    try:
+        return m._frame.index[w]
+    except (KeyError, TypeError):
+        raise ModelError("unknown state %r" % (w,)) from None
 
 
 def dep_closure(m: Model, agent: str, state: str) -> frozenset:
     """cl_a(w): union of definability blocks meeting the cell of w under a."""
-    _check_agent(m, agent)
+    _relation(m, agent)
     return m._names(m._closure_at(agent)[_state_bit(m, state)])
 
 
 def dep_partition(m: Model, agent: str, state: str) -> tuple:
     """The dependence relation at `state` as a tuple of classes: cl_a(w) is
     one class, and every block outside it stays its own class."""
-    _check_agent(m, agent)
+    _relation(m, agent)
     cl = m._closure_at(agent)[_state_bit(m, state)]
-    blocks, index = m._blocks(), m._frame.index
+    blocks = m._blocks()
     # cl is a union of blocks, so it takes the place of its first block
-    pieces = dict.fromkeys(cl if cl >> i & 1 else blocks[i]
-                           for i in map(index.__getitem__, m.states))
-    return tuple(map(m._names, pieces))
+    return m._classes(lambda i: cl if cl >> i & 1 else blocks[i])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +403,7 @@ def _check_pair(p, label) -> None:
                          % label)
 
 
-def _closure_cells(states, pairs, label, strict):
+def _closure_cells(states, pairs, label):
     if not isinstance(pairs, list):
         raise ModelError("%s must be a list of pairs" % label)
     parent = {s: s for s in states}
@@ -409,39 +414,26 @@ def _closure_cells(states, pairs, label, strict):
             x = parent[x]
         return x
 
-    listed = set()
     for p in pairs:
         _check_pair(p, label)
         u, v = p
         for s in (u, v):
             if s not in parent:
                 raise ModelError("%s: unknown state %r" % (label, s))
-        listed.add((u, v))
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
     cells = {}
     for s in states:
         cells.setdefault(find(s), set()).add(s)
-    result = tuple(frozenset(c) for c in cells.values())
-    if strict:
-        full = {(u, v) for c in result for u in c for v in c}
-        missing = full - listed
-        extra = listed - full
-        if missing or extra:
-            example = sorted(missing or extra)[0]
-            raise ModelError(
-                "%s: strict mode requires the exact closure; pair %r is %s"
-                % (label, list(example), "missing" if missing else "extra"))
-    return result
+    return tuple(frozenset(c) for c in cells.values())
 
 
-def load(text, strict: bool = False) -> Model:
+def load(text) -> Model:
     """Read a model from JSON text or UTF-8 bytes.
 
     Relation pair lists are closed under reflexivity, symmetry, and
-    transitivity; in strict mode the listed pairs must already be the full
-    closure (loops included).  Ideal pairs are closed under symmetry.
+    transitivity.  Ideal pairs are closed under symmetry.
     """
     try:
         if isinstance(text, bytes):
@@ -467,7 +459,7 @@ def load(text, strict: bool = False) -> Model:
     relations = data["relations"]
     if not isinstance(relations, dict):
         raise ModelError("relations must be an object")
-    rel = {a: _closure_cells(states, pairs, "relations[%s]" % a, strict)
+    rel = {a: _closure_cells(states, pairs, "relations[%s]" % a)
            for a, pairs in relations.items()}
     valuation = data["valuation"]
     if not isinstance(valuation, dict):
@@ -491,8 +483,7 @@ def load(text, strict: bool = False) -> Model:
 def save(m: Model) -> bytes:
     """Serialize deterministically; `load(save(m))` equals `m`.
 
-    Relation pair lists are written as the full closure (loops included),
-    so the output also loads in strict mode.
+    Relation pair lists are written as the full closure, loops included.
     """
     states, index = m.states, m._frame.index
 

@@ -28,7 +28,7 @@ from collections import defaultdict
 from .formula import (_AGENT, And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp,
                       K, MetaFormula, Not, OkAtom, Or, Record, ResolveInfo,
                       Share, Top, _agent_fields, _fields_only, expand)
-from .kripke import Model, PointedModel, _meet, save
+from .kripke import Model, PointedModel, _meet, _relation, _state_bit, save
 # unused here; bench/layers.py traces `semantics.dep_closure` by name
 from .kripke import dep_closure  # noqa: F401
 from .update import resolve_update, share_update
@@ -57,8 +57,12 @@ class EvalContext:
     def updated(self, m: Model, w: str, sender: str, receiver: str) -> Model:
         # the update depends on the state and the sender only through
         # (cell, closure)
-        i = m._frame.index[w]
-        key = (receiver, m._cell_at[receiver][i], m._closure_at(sender)[i])
+        try:
+            i = m._frame.index[w]
+            key = receiver, m._cell_at[receiver][i], m._closure_at(sender)[i]
+        except (KeyError, TypeError):  # a name `m` lacks: say which
+            _state_bit(m, w), _relation(m, sender), _relation(m, receiver)
+            raise
         return self._model(m, key, share_update, w, sender, receiver)
 
     def resolved(self, m: Model, group: tuple) -> Model:

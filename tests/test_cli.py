@@ -200,7 +200,7 @@ class TestUpdate:
                      "--share", "a>c,b>c", "--out", out]) == 0
         assert capsys.readouterr().out == "wrote %s\n" % out
         with open(out, "rb") as fh:
-            got = load(fh.read(), strict=True)
+            got = load(fh.read())
         want = apply_sequence(pointed(service_desk()),
                               [("a", "c"), ("b", "c")]).model
         assert got == want

@@ -179,6 +179,19 @@ class TestPointed:
         assert str(err.value) == "point ['u'] is not a state"
 
 
+class TestReaders:
+    @pytest.mark.parametrize("read", [
+        lambda m, name: m.cell(name, "s0"),
+        lambda m, name: m.cell("a", name),
+        lambda m, name: m.cells(name),
+        lambda m, name: m.ideal_partners(name),
+    ], ids=["cell-agent", "cell-state", "cells", "ideal_partners"])
+    @pytest.mark.parametrize("name", ["zz", ["a"], None])
+    def test_unknown_names_are_model_errors(self, read, name):
+        with pytest.raises(ModelError, match="unknown"):
+            read(service_desk_deontic(), name)
+
+
 class TestSerialization:
     def test_round_trip(self):
         for build in (service_desk, service_desk_deontic, overlap):
@@ -202,10 +215,10 @@ class TestSerialization:
         assert save(PRESETS[name]()) == \
             (models / ("%s.json" % name)).read_bytes()
 
-    def test_save_is_strict_loadable_and_deterministic(self):
+    def test_save_loads_back_and_is_deterministic(self):
         m = service_desk_deontic()
         data = save(m)
-        assert load(data, strict=True) == m
+        assert load(data) == m
         assert save(load(data)) == data
 
     def test_pairs_are_closed(self):
@@ -216,8 +229,6 @@ class TestSerialization:
         })
         m = load(text)
         assert m.cell("a", "u") == {"u", "v", "w"}
-        with pytest.raises(ModelError):
-            load(text, strict=True)
 
     def test_rejects_unknown_keys_and_bad_data(self):
         good = json.loads(save(service_desk()))

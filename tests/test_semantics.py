@@ -11,7 +11,7 @@ from knowpool.formula import (And, Atom, Bot, D, Everybody, IdealAtom, Iff,
                               Obliged, OkAtom, Or, Permitted, PermittedShare,
                               Resolution, ResolveInfo, Share, Top, expand,
                               parse)
-from knowpool.kripke import Model, PointedModel, load, pointed
+from knowpool.kripke import Model, ModelError, PointedModel, load, pointed
 from knowpool.lab import GOLDEN_FACTS, GenConfig, gen_model
 from knowpool.presets import PRESETS, overlap, service_desk, \
     service_desk_deontic
@@ -167,6 +167,13 @@ class TestContext:
         ctx = EvalContext()
         assert ctx.updated(m, "s0", "a", "c") is ctx.updated(m, "s1", "a", "c")
         assert ctx.updated(m, "s0", "a", "c") != ctx.updated(m, "s3", "a", "c")
+
+    @pytest.mark.parametrize("w, sender, receiver", [
+        ("zz", "a", "b"), ("s0", "zz", "b"), ("s0", "a", "zz"),
+        (["s0"], "a", "b"), ("s0", None, "b"), ("s0", "a", ["b"])])
+    def test_unknown_names_are_model_errors(self, w, sender, receiver):
+        with pytest.raises(ModelError, match="unknown"):
+            EvalContext().updated(service_desk(), w, sender, receiver)
 
     def test_senders_with_equal_closures_share_one_update(self):
         # a and b hold one partition, so their closures agree at every

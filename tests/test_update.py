@@ -194,6 +194,11 @@ class TestResolve:
         with pytest.raises(ModelError, match="unknown agent"):
             resolve_update(service_desk(), group)
 
+    @pytest.mark.parametrize("group", ["ab", "a", None])
+    def test_a_string_is_not_a_group(self, group):
+        with pytest.raises(ModelError, match="not a group"):
+            resolve_update(service_desk(), group)
+
     def test_single_member_is_identity(self):
         m = service_desk()
         assert resolve_update(m, ("a",)) is m
@@ -222,6 +227,11 @@ class TestSequence:
         pm = pointed(service_desk())
         assert apply_sequence(pm, []) is pm
         assert apply_sequence(pm, [("a", "a")]) is pm
+
+    @pytest.mark.parametrize("step", ["ac", ("a",), ("a", "b", "c"), None])
+    def test_a_step_must_be_a_pair(self, step):
+        with pytest.raises(ModelError, match="not a pair"):
+            apply_sequence(pointed(service_desk()), [step])
 
 
 _DEONTIC = GenConfig(max_states=5, agents=3, atoms=3, deontic=True, seed=11)
