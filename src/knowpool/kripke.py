@@ -14,7 +14,12 @@ each state's ideal partners; the definability block and the dependence
 closures of each state are derived from these on first use, and kept by bit
 as the cells are.  An updated model (`replace_relations`) shares the
 states, valuation and ideal masks, and the valuation classes, of the model
-it came from.  The public functions read state names off the masks and list
+it came from.  A model is checked once, in the pass that builds its masks:
+a cell state with no bit is a bad cell, a bit claimed twice an overlap, a
+bit left unclaimed a gap, and a valuation or ideal state with no bit is
+unknown.  No constructor skips the checks; `replace_relations` alone, which
+swaps the cell masks of a model already checked, builds a model without
+them.  The public functions read state names off the masks and list
 them in the order of `m.states`; a name a caller gives reaches the masks
 through `_relation` (agents) or `_state_bit` (states), which raise
 `ModelError` for a name the model lacks.
@@ -71,7 +76,8 @@ class _Frame:
     """What a model shares with every model updated from it: the state
     names in bit order (name order), the bit of each and the mask of all,
     each atom's valuation mask, each state's valuation class and ideal
-    partners as masks by bit, and the hash of the name-level content."""
+    partners as masks by bit, and the hash of the name-level content.
+    Building the valuation and ideal masks checks their atoms and states."""
 
     __slots__ = ("names", "index", "full", "val", "class_at", "partners",
                  "hash")
@@ -87,10 +93,19 @@ class _Frame:
             for p in val[s]:
                 masks[p] = masks.get(p, 0) | 1 << i
             classes[val[s]] = classes.get(val[s], 0) | 1 << i
+        unknown = masks.keys() - set(atoms)
+        if unknown:  # those of the first listed state that uses one
+            s = next(s for s in states if val[s] & unknown)
+            raise ModelError("valuation uses unknown atoms %r"
+                             % sorted(val[s] & unknown))
         self.class_at = tuple([classes[val[s]] for s in self.names])
+        if ideal is not None and not ideal:
+            raise ModelError("ideal relation must be non-empty")
         partners = [0] * len(states)
         for pair in ideal or ():
-            ends = [index[s] for s in pair]  # one state for a loop
+            ends = [index.get(s) for s in pair]  # one state for a loop
+            if not 1 <= len(ends) <= 2 or None in ends:
+                raise ModelError("bad ideal pair %r" % sorted(pair))
             u, v = ends[0], ends[-1]
             partners[u] |= 1 << v
             partners[v] |= 1 << u
@@ -126,51 +141,58 @@ class Model:
                  "_hash", "__weakref__")
 
     def __init__(self, states: Iterable, agents: Iterable, atoms: Iterable,
-                 rel: Mapping, val: Mapping, ideal=None, point=None,
-                 validate: bool = True):
-        if validate:
-            # types first: only strings may reach a set, a dict or sorted()
-            states = _collection(states, "states")
-            agents = _strings(agents, "agent names")
-            atoms = _strings(atoms, "atom names")
-            for given, what in ((rel, "relations"), (val, "valuation")):
-                if not isinstance(given, Mapping):
-                    raise ModelError("malformed model data: %s must be a"
-                                     " mapping, got %r" % (what, given))
-            rel = {a: [_strings(c, "cell states")
-                       for c in _collection(cells, "relation cells")]
-                   for a, cells in rel.items()}
-            val = {s: _strings(v, "valuation atoms") for s, v in val.items()}
-            if ideal is not None:
-                ideal = [_strings(pair, "ideal pair states")
-                         for pair in _collection(ideal, "ideal pairs")]
-        self.states = states = tuple(states)
-        self.agents = tuple(agents)
-        self.atoms = tuple(atoms)
-        if validate:
-            self._check_names()
-        rel = {a: tuple(frozenset(c) for c in cells)
+                 rel: Mapping, val: Mapping, ideal=None, point=None):
+        # types first: only strings may reach a set, a dict or sorted()
+        self.states = states = _collection(states, "states")
+        self.agents = agents = _strings(agents, "agent names")
+        self.atoms = _strings(atoms, "atom names")
+        for given, what in ((rel, "relations"), (val, "valuation")):
+            if not isinstance(given, Mapping):
+                raise ModelError("malformed model data: %s must be a"
+                                 " mapping, got %r" % (what, given))
+        rel = {a: [_strings(c, "cell states")
+                   for c in _collection(cells, "relation cells")]
                for a, cells in rel.items()}
+        val = {s: _strings(v, "valuation atoms") for s, v in val.items()}
+        if ideal is not None:
+            ideal = [_strings(pair, "ideal pair states")
+                     for pair in _collection(ideal, "ideal pairs")]
+        self._check_names()
         self.val = {s: frozenset(val.get(s, ())) for s in states}
+        for s in val:  # as given: self.val keeps only known states
+            if s not in self.val:
+                raise ModelError("valuation for unknown state %r" % (s,))
         self.ideal = None if ideal is None else \
             frozenset(frozenset(p) for p in ideal)
-        self.point = point
-        if validate:
-            self._validate(rel, val)
-        self._frame = _Frame(states, self.agents, self.atoms, self.val,
-                             self.ideal)
+        self._frame = _Frame(states, agents, self.atoms, self.val, self.ideal)
         index = self._frame.index
         self._cell_at = {}
         for a, cells in rel.items():
-            at = [0] * len(states)
+            if a not in agents:
+                raise ModelError("relation for unknown agent %r" % (a,))
+            at, claimed = [0] * len(states), 0
             for c in cells:
-                mask = sum(1 << index[s] for s in c)
-                for s in c:
-                    at[index[s]] = mask
+                bits = {index.get(s) for s in c}
+                if not bits or None in bits:
+                    raise ModelError("bad cell %r for agent %r"
+                                     % (sorted(set(c)), a))
+                mask = sum([1 << i for i in bits])
+                if claimed & mask:
+                    raise ModelError("overlapping cells for agent %r" % (a,))
+                claimed |= mask
+                for i in bits:
+                    at[i] = mask
+            if 0 in at:
+                raise ModelError("cells for agent %r do not cover all states"
+                                 % (a,))
             self._cell_at[a] = tuple(at)
-        for a in self.agents:
+        for a in agents:
             if a not in self._cell_at:  # no relation: every state apart
                 self._cell_at[a] = tuple(1 << i for i in range(len(states)))
+        # a tuple scan, as the point may be unhashable
+        if point is not None and point not in states:
+            raise ModelError("point %r is not a state" % (point,))
+        self.point = point
         self._block_at = self._closure = self._hash = None
 
     def _check_names(self) -> None:
@@ -188,38 +210,6 @@ class Model:
             for n in names:
                 if not _is_name(n):
                     raise ModelError("bad %s name %r" % (what, n))
-
-    def _validate(self, rel: dict, val: Mapping) -> None:
-        # `val` is the valuation as given: self.val keeps only known states
-        universe = frozenset(self.states)
-        for a, cells in rel.items():
-            if a not in self.agents:
-                raise ModelError("relation for unknown agent %r" % a)
-            seen = set()
-            for c in cells:
-                if not c or not c <= universe:
-                    raise ModelError("bad cell %r for agent %r" % (set(c), a))
-                if seen & c:
-                    raise ModelError("overlapping cells for agent %r" % a)
-                seen |= c
-            if seen != universe:
-                raise ModelError("cells for agent %r do not cover all states" % a)
-        for s in val:
-            if s not in universe:
-                raise ModelError("valuation for unknown state %r" % (s,))
-        for atoms in self.val.values():
-            extra = atoms - frozenset(self.atoms)
-            if extra:
-                raise ModelError("valuation uses unknown atoms %r" % sorted(extra))
-        if self.ideal is not None:
-            if not self.ideal:
-                raise ModelError("ideal relation must be non-empty")
-            for pair in self.ideal:
-                if not 1 <= len(pair) <= 2 or not pair <= universe:
-                    raise ModelError("bad ideal pair %r" % sorted(pair))
-        # a tuple scan, as the point may be unhashable
-        if self.point is not None and self.point not in self.states:
-            raise ModelError("point %r is not a state" % (self.point,))
 
     # -- names read off the masks
 

@@ -57,6 +57,14 @@ class GenConfig(Record):
     samples: int = 500
     seed: int = 1729
 
+    def __post_init__(self):
+        # AGENT_NAMES and ATOM_NAMES hold three names each
+        if not (1 <= self.agents <= 3 and 1 <= self.atoms <= 3
+                and self.max_states >= 1 and self.samples >= 0):
+            raise ValueError("a model config needs 1 to 3 agents and atoms,"
+                             " max_states >= 1 and samples >= 0, got %r"
+                             % (self,))
+
 
 DEFAULT_CONFIG = GenConfig()
 
@@ -144,7 +152,7 @@ def enumerate_models(max_states: int, n_agents: int, n_atoms: int,
                         ideals.append(tuple(cand))
                 for ideal in ideals:
                     yield Model(states, agents, atoms, rel, val, ideal=ideal,
-                                point="w0", validate=False)
+                                point="w0")
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +648,10 @@ def run_reference_suite(cfg: GenConfig = DEFAULT_CONFIG,
 
     Each preset is built once per call and every fact and reading on it is
     evaluated on that one object through one `EvalContext`, so memo lookups
-    match the model by identity.  Those models, the context and the
-    formula nodes of the facts die with the call, so the next call starts
-    cold.
+    match the model by identity.  Nothing keeps those models, the context
+    or the fact nodes past the call, but what a reference cycle holds (a
+    parse error's traceback, a self-referencing rewrite cache) lives until
+    the garbage collector runs, so the next call need not start cold.
     """
     ctx = EvalContext()
     models = {name: build() for name, build in PRESETS.items()}

@@ -117,7 +117,7 @@ def _with_relations(m, new):
 def permuted(m, order):
     """The same model with its states listed in another order."""
     return Model([m.states[i] for i in order], m.agents, m.atoms, m.rel,
-                 m.val, ideal=m.ideal, point=m.point, validate=False)
+                 m.val, ideal=m.ideal, point=m.point)
 
 
 def isomorphic(m1, m2) -> bool:

@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,17 +48,53 @@ class TestValidation:
             m = build()
             assert m.point == "s0"
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ModelError):
-            Model((), ("a",), ("p",), {}, {})
-        with pytest.raises(ModelError):
-            tiny(rel_a=({"u"},))                      # does not cover v
-        with pytest.raises(ModelError):
-            tiny(rel_a=({"u", "v"}, {"v"}))           # overlapping cells
-        with pytest.raises(ModelError):
-            Model(("u",), ("a",), ("p",), {"a": ({"u"},)}, {"u": {"zz"}})
-        with pytest.raises(ModelError):
-            tiny(point="nowhere")
+    @pytest.mark.parametrize("states, rel, val, ideal, point, message", [
+        ((), {}, {}, None, None, "model needs at least one state"),
+        (("u", "u"), {}, {}, None, None, "duplicate state id"),
+        (("u",), {"a": [()]}, {}, None, None, "bad cell [] for agent 'a'"),
+        (("u",), {"a": [("zz",)]}, {}, None, None,
+         "bad cell ['zz'] for agent 'a'"),
+        (("u", "v"), {"a": [("u",), ("u",), ("v",)]}, {}, None, None,
+         "overlapping cells for agent 'a'"),
+        (("u", "v"), {"a": [("u",)]}, {}, None, None,
+         "cells for agent 'a' do not cover all states"),
+        (("u",), {"b": [("u",)]}, {}, None, None,
+         "relation for unknown agent 'b'"),
+        (("u",), {}, {"u": {"zz"}}, None, None,
+         "valuation uses unknown atoms ['zz']"),
+        (("u",), {}, {}, (), None, "ideal relation must be non-empty"),
+        (("u", "v", "w"), {}, {}, [("u", "v", "w")], None,
+         "bad ideal pair ['u', 'v', 'w']"),
+        (("u",), {}, {}, [("u", "zz")], None, "bad ideal pair ['u', 'zz']"),
+        (("u",), {}, {}, None, "nowhere", "point 'nowhere' is not a state"),
+    ], ids=["no_state", "duplicate_state", "empty_cell", "unknown_cell_state",
+            "overlap", "gap", "unknown_agent", "unknown_atom", "empty_ideal",
+            "three_state_ideal_pair", "unknown_ideal_state", "unknown_point"])
+    def test_rejects_bad_shapes(self, states, rel, val, ideal, point,
+                                message):
+        with pytest.raises(ModelError) as err:
+            Model(states, ("a",), ("p",), rel, val, ideal=ideal, point=point)
+        assert str(err.value) == message
+
+    def test_bad_cell_message_does_not_depend_on_the_hash_seed(self):
+        # a set of four strings iterates in a different order under most
+        # pairs of hash seeds; the message lists the states sorted
+        code = ("from knowpool.kripke import Model\n"
+                "try:\n"
+                "    Model(('u', 'v', 'w'), ('a',), ('p',),"
+                " {'a': [('u', 'v', 'w', 'zz')]}, {})\n"
+                "except ValueError as e:\n"
+                "    print(e)\n")
+        root = Path(__file__).resolve().parent.parent
+        out = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           str(root / "src"), os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            out.add(done.stdout)
+        assert out == {"bad cell ['u', 'v', 'w', 'zz'] for agent 'a'\n"}
 
     @pytest.mark.parametrize("agents, atoms, message", [
         (("a",), ("true",), "bad atom name 'true'"),
@@ -111,9 +150,6 @@ class TestValidation:
         with pytest.raises(ModelError) as err:
             Model(("u",), ("a",), ("p",), {}, {"zz": {"p"}})
         assert str(err.value) == "valuation for unknown state 'zz'"
-        unchecked = Model(("u",), ("a",), ("p",), {}, {"zz": {"p"}},
-                          validate=False)
-        assert unchecked.val == {"u": frozenset()}
 
     def test_rejects_bad_ideal(self):
         with pytest.raises(ModelError):
@@ -549,3 +585,57 @@ def test_fingerprint_permutation_invariant(index, cfg, rng):
         tuple(tuple(rename[s] for s in sorted(pair)) for pair in m.ideal),
         point=rename[m.point])
     assert fingerprint(pointed(m)) == fingerprint(pointed(twin))
+
+
+# what no model may hold as a name, a cell, a pair or a collection
+_ODD = st.sampled_from(["zz", "", "true", "uv", 0, None, ["u"], ("u", "v", "w"),
+                        frozenset()])
+_ODD_KEY = st.sampled_from(["zz", "", 0, None, ("u",)])
+
+
+@st.composite
+def _model_args(draw):
+    """The arguments of a valid model, in which each part at any depth is
+    sometimes replaced by an odd value, and each list sometimes loses its
+    last element or repeats its first."""
+    def pick(items, min_size=0):
+        return draw(st.lists(st.sampled_from(items), min_size=min_size,
+                             unique=True)) if items else []
+
+    states = pick("uvwx", 1)
+    agents, atoms = pick("abc"), pick("pqr")
+    rel = {}
+    for a in pick(agents):
+        cells = {}
+        for s in states:
+            cells.setdefault(draw(st.integers(0, len(states))), []).append(s)
+        rel[a] = list(cells.values())
+    val = {s: pick(atoms) for s in pick(states)}
+    ideal = draw(st.none() | st.lists(
+        st.lists(st.sampled_from(states), min_size=1, max_size=2),
+        min_size=1, max_size=3))
+    point = draw(st.none() | st.sampled_from(states))
+
+    def spoil(x, odd=_ODD):
+        roll = draw(st.integers(1, 25))  # shrinking heads for 1: unspoiled
+        if roll == 25:
+            return draw(odd)
+        if isinstance(x, dict):
+            return {spoil(k, _ODD_KEY): spoil(v) for k, v in x.items()}
+        if isinstance(x, list):
+            x = [spoil(y) for y in x]
+            return x[:-1] if roll == 24 else x + x[:1] if roll == 23 else x
+        return x
+
+    return [spoil(x) for x in (states, agents, atoms, rel, val, ideal,
+                               point)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_model_args())
+def test_any_input_builds_a_model_or_raises_model_error(args):
+    try:
+        m = Model(*args)
+    except ModelError:
+        return
+    assert load(save(m)) == m

@@ -164,6 +164,20 @@ def test_a_shared_lab_reports_as_fresh_labs_do():
         == [Lab(cfg).check(name) for name in mix]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("agents", 0), ("agents", 5), ("atoms", 0), ("atoms", 4),
+    ("max_states", 0), ("samples", -1)])
+def test_config_out_of_range_is_a_value_error(field, value):
+    # unchecked, each would fail deep inside a run (atoms=0 in the formula
+    # pools, max_states=0 in randrange) or quietly run another config
+    with pytest.raises(ValueError) as err:
+        GenConfig(**{field: value})
+    assert str(err.value).startswith(
+        "a model config needs 1 to 3 agents and atoms, max_states >= 1 and"
+        " samples >= 0, got GenConfig(")
+    assert "%s=%d" % (field, value) in str(err.value)
+
+
 def test_check_schema_builds_one_lab_per_config(monkeypatch):
     # a config seen before reuses its Lab, so no second EvalContext is built
     built = []
