@@ -19,7 +19,7 @@ from .lab import (DEFAULT_CONFIG, GOLDEN_FACTS, GenConfig, LabReport,
 from .norms import Plan, permissible_share, plan
 from .presets import PRESETS, overlap, service_desk, service_desk_deontic
 from .semantics import (CheckResult, EvalContext, EvalError, check,
-                        extension, global_truth)
+                        extension, global_truth, holds)
 from .update import apply_sequence, resolve_update, share_update
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "apply_sequence", "atoms_partition", "check",
     "check_fact", "check_schema", "compare_readings", "dep_closure",
     "dep_partition", "enumerate_models", "expand", "extension",
-    "fingerprint", "gen_model", "global_truth", "instantiate",
+    "fingerprint", "gen_model", "global_truth", "holds", "instantiate",
     "load", "overlap", "parse", "permissible_share",
     "plan", "pointed", "print_formula", "resolve_update",
     "run_all", "run_reference_suite", "save", "service_desk",

@@ -35,7 +35,7 @@ from .formula import (And, Atom, Formula, IdealAtom, Iff, Imp, K, Not,
 from .formula import substitute  # noqa: F401
 from .kripke import Model, atoms_partition, dep_closure
 from .presets import PRESETS
-from .semantics import EvalContext, extension, global_truth
+from .semantics import EvalContext, extension, global_truth, holds
 
 AGENT_NAMES = ("a", "b", "c")
 ATOM_NAMES = ("p", "q", "r")
@@ -58,6 +58,11 @@ class GenConfig(Record):
     seed: int = 1729
 
     def __post_init__(self):
+        for field in ("max_states", "agents", "atoms", "samples"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError("a model config needs an integer %s, got %r"
+                                 % (field, value))
         # AGENT_NAMES and ATOM_NAMES hold three names each
         if not (1 <= self.agents <= 3 and 1 <= self.atoms <= 3
                 and self.max_states >= 1 and self.samples >= 0):
@@ -429,8 +434,8 @@ def _cl_cases(m: Model, ctx: EvalContext):
             closed = union == dep_closure(m, y, w)
             reach = m.cell(x, w) & union
             for box, ext, known in zip(boxes, exts, knows):
-                holds = closed and (w in known) == (reach <= ext)
-                yield None if holds else (box, w)
+                agrees = closed and (w in known) == (reach <= ext)
+                yield None if agrees else (box, w)
 
 
 def _int_plus_cases(m: Model, ctx: EvalContext):
@@ -609,7 +614,7 @@ def check_fact(fact: GoldenFact, ctx: EvalContext | None = None) -> FactResult:
 
 
 def _check_fact(fact: GoldenFact, m: Model, ctx: EvalContext | None):
-    got = m.point in extension(m, parse(fact.formula), ctx)
+    got = holds(m, m.point, parse(fact.formula), ctx)
     return FactResult(fact, got)
 
 
@@ -636,8 +641,8 @@ def _compare_readings(m: Model, ctx: EvalContext):
         if fact.model != "service_desk_deontic":
             continue
         f = parse(fact.formula)
-        got = m.point in extension(m, f, ctx)
-        alt = m.point in extension(m, _possibility_reading(f), ctx)
+        got = holds(m, m.point, f, ctx)
+        alt = holds(m, m.point, _possibility_reading(f), ctx)
         out.append(ReadingResult(fact.label, fact.formula, got, alt))
     return tuple(out)
 

@@ -31,7 +31,10 @@ from .formula import Formula, OkAtom, Record, _fields_only
 from .kripke import Model, PointedModel
 # unused by the planner; bench/layers.py traces `norms.fingerprint` by name
 from .kripke import fingerprint  # noqa: F401
-from .semantics import EvalContext, EvalError, extension
+from .semantics import EvalContext, EvalError, holds
+# unused by the planner, which asks `holds`; bench/layers.py traces
+# `norms.extension` by name
+from .semantics import extension  # noqa: F401
 from .update import share_update
 
 
@@ -61,7 +64,7 @@ def _verdict(m: Model, w: str, receiver: str, ctx: EvalContext):
     # None when the model carries no norms at all
     if m.ideal is None:
         return None
-    return w in extension(m, OkAtom(receiver), ctx)
+    return holds(m, w, OkAtom(receiver), ctx)
 
 
 def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
@@ -88,7 +91,7 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
         raise EvalError("permissible planning needs an ideal relation; "
                         "pass require_permissible=False for a free search")
     ctx = EvalContext()
-    if w in extension(base, goal, ctx):
+    if holds(base, w, goal, ctx):
         return Plan((), (), goal, True)
     agents = sorted(base.agents)
     pairs = [(x, y) for x in agents for y in agents if x != y]
@@ -105,7 +108,7 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
             if require_permissible and not _verdict(nxt, w, share[1], ctx):
                 continue
             came_from[nxt] = (m, share)
-            if w in extension(nxt, goal, ctx):
+            if holds(nxt, w, goal, ctx):
                 return _plan_to(nxt, came_from, w, goal, ctx)
             queue.append((nxt, depth + 1))
     return None

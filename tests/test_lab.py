@@ -178,6 +178,18 @@ def test_config_out_of_range_is_a_value_error(field, value):
     assert "%s=%d" % (field, value) in str(err.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("agents", 2.5), ("atoms", 2.5), ("max_states", 2.5), ("samples", 1.5),
+    ("agents", True)])
+def test_config_of_a_non_integer_is_a_value_error(field, value):
+    # in range, so a range check alone lets each one build; the run then
+    # fails deep inside (slice indices, randrange, range)
+    with pytest.raises(ValueError) as err:
+        GenConfig(**{field: value})
+    assert str(err.value) == "a model config needs an integer %s, got %r" \
+        % (field, value)
+
+
 def test_check_schema_builds_one_lab_per_config(monkeypatch):
     # a config seen before reuses its Lab, so no second EvalContext is built
     built = []
