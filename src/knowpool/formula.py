@@ -502,6 +502,24 @@ def rebuild(f: Formula, sub: Callable[[Formula], Formula],
     return type(f)(*args) if changed else f
 
 
+def rewrite(f: Formula, leaf: Callable[[Formula], Formula | None],
+            agent: Callable[[str], str] | None = None) -> Formula:
+    """`f` with each node that `leaf` maps to a formula replaced by it and
+    every other node rebuilt (`rebuild`).  Each distinct node of the DAG is
+    rewritten once, through a plain dict, so the rewrite makes no cycle."""
+    return _rewrite(f, leaf, agent, {})
+
+
+def _rewrite(f: Formula, leaf: Callable, agent, memo: dict) -> Formula:
+    g = memo.get(f)
+    if g is None:
+        g = leaf(f)
+        if g is None:
+            g = rebuild(f, lambda h: _rewrite(h, leaf, agent, memo), agent)
+        memo[f] = g
+    return g
+
+
 def _children(f: Formula) -> list:
     return [getattr(f, name) for name, role in _layout(type(f))
             if role is _SUB]
@@ -561,8 +579,8 @@ _BINARY = (("<->", Iff, False), ("->", Imp, True), ("|", Or, False),
 # Every other operator's head, with each agent field written as its field
 # name.  A node with a body is a prefix operator whose body follows the
 # head.  An agent tuple with a default (K's deps) may be left out together
-# with the separator before it.  Heads that share a keyword are tried in
-# this order.
+# with the separator before it.  Only the two `Rk` heads share a keyword;
+# the parser tells them apart by the leader form's `;` (`_Parser.node`).
 _HEADS = (
     (Top, "true"), (Bot, "false"), (IdealAtom, "O"), (OkAtom, "Ok{agent}"),
     (PermittedShare, "Perm(sender>receiver)"), (Not, "~"),
@@ -683,23 +701,15 @@ class _Parser:
         return f
 
     def node(self, heads: list) -> Formula:
-        # the first head that reads wins; if none does, report the error
-        # of the one that got furthest (the first on a tie)
-        start = self.pos
-        errors = []
-        for cls in heads:
-            program, body = _SYNTAX[cls]
-            try:
-                values = self.head(cls, program)
-            except ParseError as err:
-                errors.append(err)
-                self.pos = start
-                continue
-            if body is not None:
-                values[body] = self.unary()
-            # every field in order: the constructor has nothing to bind
-            return cls(*values)
-        raise max(errors, key=lambda err: (err.line, err.col))
+        # picked before reading: only the leader `Rk` form has `;` at word 3
+        cls = heads[-1] if self.words[self.pos + 3:self.pos + 4] == [";"] \
+            else heads[0]
+        program, body = _SYNTAX[cls]
+        values = self.head(cls, program)
+        if body is not None:
+            values[body] = self.unary()
+        # every field in order: the constructor has nothing to bind
+        return cls(*values)
 
     def head(self, cls: type, program: tuple) -> list:
         """Read a head; return the node's fields in order, each one the
@@ -902,15 +912,12 @@ def substitute(f: Formula, formulas: Mapping | None = None,
             raise FormulaError("unbound agent variable %r" % name)
         return name
 
-    @functools.cache  # each distinct node of the DAG is rewritten once
-    def go(g: Formula) -> Formula:
-        if isinstance(g, MetaFormula):
-            if g.name not in fmap:
-                raise FormulaError("unbound formula variable %r" % g.name)
-            return fmap[g.name]
-        return rebuild(g, go, sub_agent)
+    def leaf(g: Formula) -> Formula | None:
+        if isinstance(g, MetaFormula) and g.name not in fmap:
+            raise FormulaError("unbound formula variable %r" % g.name)
+        return fmap[g.name] if isinstance(g, MetaFormula) else None
 
-    return go(f)
+    return rewrite(f, leaf, sub_agent)
 
 
 @_fields_only

@@ -30,7 +30,7 @@ from dataclasses import replace
 from .formula import (And, Atom, Formula, IdealAtom, Iff, Imp, K, Not,
                       OkAtom, Or, PermittedShare, Record, Schema, Share,
                       _fields_only, expand, instantiate, meta_agents_of,
-                      meta_formulas_of, parse, rebuild)
+                      meta_formulas_of, parse, rewrite)
 # unused here; bench/layers.py traces `lab.substitute` by name
 from .formula import substitute  # noqa: F401
 from .kripke import Model, atoms_partition, dep_closure
@@ -58,11 +58,14 @@ class GenConfig(Record):
     seed: int = 1729
 
     def __post_init__(self):
-        for field in ("max_states", "agents", "atoms", "samples"):
+        for field in ("max_states", "agents", "atoms", "samples", "seed"):
             value = getattr(self, field)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError("a model config needs an integer %s, got %r"
                                  % (field, value))
+        if not isinstance(self.deontic, bool):
+            raise ValueError("a model config needs a bool deontic, got %r"
+                             % (self.deontic,))
         # AGENT_NAMES and ATOM_NAMES hold three names each
         if not (1 <= self.agents <= 3 and 1 <= self.atoms <= 3
                 and self.max_states >= 1 and self.samples >= 0):
@@ -134,6 +137,9 @@ def enumerate_models(max_states: int, n_agents: int, n_atoms: int,
     State relabelling can sort the valuation codes without loss, so every
     isomorphism class of models has at least one representative here.
     """
+    if not all(type(n) is int and 1 <= n <= 3 for n in (n_agents, n_atoms)):
+        raise ValueError("a model bank needs 1 to 3 agents and atoms, got"
+                         " %r and %r" % (n_agents, n_atoms))
     agents = AGENT_NAMES[:n_agents]
     atoms = ATOM_NAMES[:n_atoms]
     for n in range(1, max_states + 1):
@@ -362,7 +368,10 @@ class Lab:
         `(instance, state)` for a refuted one; models with fewer agents than
         the schema needs are skipped and not counted.
         """
-        spec = SCHEMAS[name]
+        spec = SCHEMAS.get(name)
+        if spec is None:
+            raise ValueError("unknown schema %r; choose from: %s"
+                             % (name, ", ".join(SCHEMAS)))
         if spec.template is None:
             cases, need = _CHECKERS[name]
         else:
@@ -610,58 +619,44 @@ class ReferenceReport(Record):
 
 
 def check_fact(fact: GoldenFact, ctx: EvalContext | None = None) -> FactResult:
-    return _check_fact(fact, PRESETS[fact.model](), ctx)
-
-
-def _check_fact(fact: GoldenFact, m: Model, ctx: EvalContext | None):
-    got = holds(m, m.point, parse(fact.formula), ctx)
-    return FactResult(fact, got)
+    m = PRESETS[fact.model]()
+    return FactResult(fact, holds(m, m.point, parse(fact.formula), ctx))
 
 
 def _possibility_reading(f: Formula) -> Formula:
     """Replace every Ok atom of the expanded formula by 'does not know there
     is no ideal'."""
-    @functools.cache  # each distinct node of the DAG is rewritten once
-    def go(g):
-        if isinstance(g, OkAtom):
-            return Not(K(g.agent, Not(IdealAtom())))
-        return rebuild(g, go)
-
-    return go(expand(f))
+    return rewrite(expand(f), lambda g: Not(K(g.agent, Not(IdealAtom())))
+                   if isinstance(g, OkAtom) else None)
 
 
 def compare_readings():
-    """Evaluate the permission facts under both Ok readings."""
-    return _compare_readings(PRESETS["service_desk_deontic"](), EvalContext())
-
-
-def _compare_readings(m: Model, ctx: EvalContext):
-    out = []
-    for fact in GOLDEN_FACTS:
-        if fact.model != "service_desk_deontic":
-            continue
-        f = parse(fact.formula)
-        got = holds(m, m.point, f, ctx)
-        alt = holds(m, m.point, _possibility_reading(f), ctx)
-        out.append(ReadingResult(fact.label, fact.formula, got, alt))
-    return tuple(out)
+    """Evaluate the permission facts under both Ok readings: the readings
+    of the reference suite."""
+    return run_reference_suite(include_schemas=False).readings
 
 
 def run_reference_suite(cfg: GenConfig = DEFAULT_CONFIG,
                         include_schemas: bool = True) -> ReferenceReport:
     """Evaluate every golden fact, both Ok readings, and the schema library.
 
-    Each preset is built once per call and every fact and reading on it is
-    evaluated on that one object through one `EvalContext`, so memo lookups
-    match the model by identity.  Nothing keeps those models, the context
-    or the fact nodes past the call, but what a reference cycle holds (a
-    parse error's traceback, a self-referencing rewrite cache) lives until
-    the garbage collector runs, so the next call need not start cold.
+    Each preset is built once per call and each fact is parsed once; every
+    fact is evaluated on its one preset object through one `EvalContext`,
+    so memo lookups match the model by identity, and a permission fact's
+    verdict is its transition reading.  No reference cycle is made and
+    nothing keeps those models, the context or the formula nodes past the
+    call, so each call starts cold.
     """
     ctx = EvalContext()
     models = {name: build() for name, build in PRESETS.items()}
-    facts = tuple(_check_fact(fact, models[fact.model], ctx)
-                  for fact in GOLDEN_FACTS)
-    readings = _compare_readings(models["service_desk_deontic"], ctx)
+    facts, readings = [], []
+    for fact in GOLDEN_FACTS:
+        m = models[fact.model]
+        f = parse(fact.formula)
+        got = holds(m, m.point, f, ctx)
+        facts.append(FactResult(fact, got))
+        if fact.model == "service_desk_deontic":  # the permission facts
+            alt = holds(m, m.point, _possibility_reading(f), ctx)
+            readings.append(ReadingResult(fact.label, fact.formula, got, alt))
     schemas = tuple(run_all(cfg)) if include_schemas else ()
-    return ReferenceReport(facts, readings, schemas)
+    return ReferenceReport(tuple(facts), tuple(readings), schemas)

@@ -77,14 +77,15 @@ def plan(pm: PointedModel, goal: Formula, max_len: int | None = None,
     has no ideal relation).  Returns None when no plan exists within
     `max_len` steps; `max_len=None` searches the whole reachable space,
     which is finite because sharing only ever refines relations.  A
-    negative `max_len` raises ValueError.
+    `max_len` that is not a non-negative integer raises ValueError.
 
     Nodes are deduplicated on the exact model, which returns the same plan
     as deduplicating up to isomorphism (see the module docstring) without
     canonical labelling, whose cost grows factorially on symmetric models.
     """
-    if max_len is not None and max_len < 0:
-        raise ValueError("max_len must be non-negative, got %d" % max_len)
+    if max_len is not None and (type(max_len) is not int or max_len < 0):
+        raise ValueError("max_len must be a non-negative integer or None,"
+                         " got %r" % (max_len,))
     base = pm.model
     w = pm.point
     if require_permissible and base.ideal is None:

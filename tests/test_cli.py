@@ -1,7 +1,10 @@
 """Command line interface: exit codes and line formats."""
 
 import argparse
+import contextlib
+import gc
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from knowpool import formula
 from knowpool.cli import build_parser, main
 from knowpool.kripke import Model, load, save
 from knowpool.presets import overlap, service_desk, service_desk_deontic
@@ -298,6 +302,10 @@ class TestLab:
 
     def test_unknown_schema(self, capsys):
         assert main(["lab", "--schema", "zz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: unknown schema 'zz'; choose from: kt, k4, k5, ")
 
 
 class TestExamples:
@@ -320,6 +328,30 @@ class TestExamples:
         recorded = Path(__file__).with_name("examples_no_schemas.txt")
         assert main(["examples", "--no-schemas"]) == 1
         assert capsys.readouterr().out == recorded.read_text()
+
+    def test_an_op_leaves_nothing_to_the_cycle_collector(self):
+        # each golden op starts cold: with the collector off, one op after
+        # a warm-up leaves no formula node or model alive and no cycle
+        def op():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["examples", "--no-schemas"]) == 1
+
+        def models():
+            return sum(isinstance(o, Model) for o in gc.get_objects())
+
+        op()
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            nodes, alive = len(formula._TABLE), models()
+            op()
+            assert len(formula._TABLE) == nodes
+            assert models() == alive
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def test_lab_output_is_byte_identical_to_the_recording(capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import itertools
 import os
@@ -455,6 +456,24 @@ _SUB_SLOTS = [(cls, name)
               if cls.__module__ == formula.__name__
               for name, role in formula._layout(cls)
               if role == "subformula"]
+
+
+def test_parsing_and_instantiating_leave_no_cycle():
+    # the parser keeps no error of a head it did not read, and the rewrite
+    # behind `substitute` keeps its memo in a dict, not a cached closure
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert parse("Rk{a;a,b}p") == LeaderResolution("a", ("a", "b"),
+                                                       Atom("p"))
+        schema = Schema("k_share", parse(SCHEMAS["k_share"].template))
+        assert len(list(instantiate(schema, [Atom("p"), Atom("q")],
+                                    ("a", "b")))) == 8
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestSubformulaSlots:

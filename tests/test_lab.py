@@ -180,7 +180,7 @@ def test_config_out_of_range_is_a_value_error(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("agents", 2.5), ("atoms", 2.5), ("max_states", 2.5), ("samples", 1.5),
-    ("agents", True)])
+    ("agents", True), ("seed", "x"), ("seed", 1.5)])
 def test_config_of_a_non_integer_is_a_value_error(field, value):
     # in range, so a range check alone lets each one build; the run then
     # fails deep inside (slice indices, randrange, range)
@@ -188,6 +188,37 @@ def test_config_of_a_non_integer_is_a_value_error(field, value):
         GenConfig(**{field: value})
     assert str(err.value) == "a model config needs an integer %s, got %r" \
         % (field, value)
+
+
+@pytest.mark.parametrize("value", [2, 0, None, "yes"])
+def test_config_of_a_non_bool_deontic_is_a_value_error(value):
+    # unchecked, each one built a config that drew deontic models or not
+    # by its truth value
+    with pytest.raises(ValueError) as err:
+        GenConfig(deontic=value)
+    assert str(err.value) == "a model config needs a bool deontic, got %r" \
+        % (value,)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 1), (1, 2, 4), (1, 0, 1),
+                                   (1, 2, 0), (1, 2.0, 1), (1, True, 1)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_bank_shape_out_of_range_is_a_value_error(shape):
+    # unchecked, (1, 4, 1) built 3-agent models, (1, 0, 1) agentless ones
+    # and (1, 2, 4) raised IndexError
+    with pytest.raises(ValueError) as err:
+        list(enumerate_models(*shape))
+    assert str(err.value) == "a model bank needs 1 to 3 agents and atoms," \
+        " got %r and %r" % shape[1:]
+
+
+def test_unknown_schema_is_a_value_error():
+    # the CLI prints this text; the library raised a bare KeyError
+    want = "unknown schema 'zz'; choose from: %s" % ", ".join(SCHEMAS)
+    for run in (lambda: check_schema("zz", CFG), lambda: Lab(CFG).check("zz")):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == want
 
 
 def test_check_schema_builds_one_lab_per_config(monkeypatch):
@@ -276,9 +307,9 @@ class TestReferenceSuite:
             self, monkeypatch):
         # nested E expands to a DAG of 5k+1 distinct nodes but 3^k paths
         f = parse("E{a,b,c}" * 8 + "Ok{a}")
-        real = lab.rebuild
+        real = formula.rebuild
         seen = []
-        monkeypatch.setattr(lab, "rebuild",
+        monkeypatch.setattr(formula, "rebuild",
                             lambda g, *rest: seen.append(g) or real(g, *rest))
         _possibility_reading(f)
         assert len(seen) == len(set(seen))

@@ -75,6 +75,18 @@ class TestPlan:
         with pytest.raises(ValueError):
             plan(pm, parse("p"), max_len=-1)
 
+    @pytest.mark.parametrize("bad", [0.5, "2", True],
+                             ids=["float", "str", "bool"])
+    def test_non_integer_budget_is_a_value_error(self, bad):
+        # unchecked, 0.5 and True returned a plan longer than the budget
+        # and "2" raised a bare TypeError
+        pm = pointed(service_desk())
+        with pytest.raises(ValueError) as err:
+            plan(pm, parse("K{c}(p->q)"), max_len=bad,
+                 require_permissible=False)
+        assert str(err.value) == "max_len must be a non-negative integer" \
+            " or None, got %r" % (bad,)
+
     def test_unreachable_goal_exhausts_the_space(self):
         pm = pointed(service_desk_deontic())
         assert plan(pm, parse("K{a}~q"), require_permissible=False) is None

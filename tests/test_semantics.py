@@ -444,6 +444,12 @@ def test_nested_everybody_is_linear(k):
     # copies of `p`, as interned nodes five new nodes per level
     f = expand(parse("E{a,b,c}" * k + "p"))
     assert _distinct_nodes(f) == 5 * k + 1
+    m = service_desk()
     ctx = EvalContext()
-    extension(service_desk(), f, ctx)
+    want = extension(m, f, ctx)
+    assert sum(map(len, ctx._memo.values())) == 5 * k + 1
+    # point queries at every state leave partial entries, one per node too
+    ctx = EvalContext()
+    assert [holds(m, w, f, ctx) for w in m.states] \
+        == [w in want for w in m.states]
     assert sum(map(len, ctx._memo.values())) == 5 * k + 1
