@@ -15,7 +15,9 @@ into the kernel language through one table (`_DEFINED`).
 The passes over the tree read the role of each node field from one table
 (`_ROLES`), mostly through `rebuild`; the node constructors check every
 subformula and agent slot that table names, and the evaluator looks up
-the same agent slots.
+the same agent slots.  Each node class holds its fields' roles and
+defaults in `_layout`, read off the table when the class is defined, so a
+field with no role fails there.
 `instantiate` fills agent placeholders with pairwise distinct agents,
 except the placeholders it is told are free.
 
@@ -27,9 +29,11 @@ object, equality and hashing go by identity, and a formula is a DAG whose
 shared subformulas (the body of an expanded `E`) are stored and walked
 once.  The node classes are dataclasses for `fields` and `replace` only:
 the constructor is written once, on `Formula`, so importing the module
-compiles no per-class methods.  A call that does not give every field in
-order is bound by Python itself, through a signature compiled for its
-class on first use (`_binder`).
+compiles no per-class methods.  A class is set up by subclassing, with no
+decorator: `Formula.__init_subclass__` and `Record.__init_subclass__` make
+each subclass a fields-only dataclass.  A call that does not give every
+field in order is bound by Python itself, through a signature compiled for
+its class on first use (`_binder`).
 
 The package's frozen records (`Record`: a schema, a pointed model, a plan,
 a check result, the lab's reports and configurations) are built the same
@@ -133,16 +137,10 @@ def _binder(cls: type) -> Callable:
     scope = {}
     exec("def __init__(self, %s): return [%s]" % (names, names), scope)
     init = scope["__init__"]
-    init.__defaults__ = tuple(d for d in _defaults(cls) if d is not MISSING)
+    init.__defaults__ = tuple(fld.default for fld in fields(cls)
+                              if fld.default is not MISSING)
     init.__qualname__ = "%s.__init__" % cls.__qualname__
     return init
-
-
-@functools.cache
-def _defaults(cls: type) -> tuple:
-    """The default of each field of a node or record class, MISSING for
-    none."""
-    return tuple(fld.default for fld in fields(cls))
 
 
 class _Frozen:
@@ -169,6 +167,29 @@ class _Frozen:
         raise FrozenInstanceError("cannot delete field %r" % name)
 
 
+# ---------------------------------------------------------------------------
+# field roles: the one place that says what each node field holds
+
+_SUB, _AGENT, _AGENTS, _PAYLOAD = "subformula", "agent", "agents", "payload"
+
+_ROLES = {
+    "body": _SUB, "left": _SUB, "right": _SUB,
+    "agent": _AGENT, "sender": _AGENT, "receiver": _AGENT, "leader": _AGENT,
+    "group": _AGENTS, "deps": _AGENTS,
+    "name": _PAYLOAD,
+}
+
+# what a repeated name in each agent tuple field is reported as
+_DUPLICATE = {"group": "duplicate agent in group %r",
+              "deps": "duplicate dependency in %r"}
+
+# Node and record classes are dataclasses for `fields` and `replace` only,
+# with no generated methods: `Formula` builds every node and `Record` every
+# record, and `_Frozen` prints and freezes both.  A node's equality and
+# hash stay identity.
+_fields_only = dataclass(init=False, repr=False, eq=False)
+
+
 class Formula(_Frozen, metaclass=_Interned):
     """Base class for formula nodes.  Nodes are immutable and interned:
     equal nodes are the same object, so equality and hashing go by
@@ -178,31 +199,43 @@ class Formula(_Frozen, metaclass=_Interned):
     # the kernel expansion once computed; _KERNEL on a kernel node
     _kernel = None
 
+    def __init_subclass__(cls, **kwargs):
+        # (field name, role, default) of each field, in field order, read
+        # off the role table once: a field with no role fails here
+        super().__init_subclass__(**kwargs)
+        _fields_only(cls)
+        layout = []
+        for fld in fields(cls):
+            if fld.name not in _ROLES:
+                raise FormulaError("field %s.%s has no role"
+                                   % (cls.__name__, fld.name))
+            layout.append((fld.name, _ROLES[fld.name], fld.default))
+        cls._layout = tuple(layout)
+
     def __post_init__(self):
         # every subformula and agent slot the role table names, in field
         # order; an agent tuple may be given as any iterable but a string,
         # and may be empty only if its field has a default (K's deps)
-        for name, role, optional in _checked_fields(type(self)):
+        for name, role, default in self._layout:
             value = getattr(self, name)
             if role is _SUB:
                 if not isinstance(value, Formula):
                     raise FormulaError("bad subformula %r" % (value,))
-                continue
-            if role is _AGENT:
+            elif role is _AGENT:
                 _check_agent(value)
-                continue
-            # a string is not split into one agent per letter
-            if isinstance(value, str) or not hasattr(value, "__iter__"):
-                raise FormulaError("agent group must be an iterable of"
-                                   " names, not %r" % (value,))
-            value = tuple(value)
-            object.__setattr__(self, name, value)
-            if not value and not optional:
-                raise FormulaError("agent group must be non-empty")
-            for a in value:
-                _check_agent(a)
-            if len(set(value)) != len(value):
-                raise FormulaError(_DUPLICATE[name] % (value,))
+            elif role is _AGENTS:
+                # a string is not split into one agent per letter
+                if isinstance(value, str) or not hasattr(value, "__iter__"):
+                    raise FormulaError("agent group must be an iterable of"
+                                       " names, not %r" % (value,))
+                value = tuple(value)
+                object.__setattr__(self, name, value)
+                if not value and default is MISSING:
+                    raise FormulaError("agent group must be non-empty")
+                for a in value:
+                    _check_agent(a)
+                if len(set(value)) != len(value):
+                    raise FormulaError(_DUPLICATE[name] % (value,))
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -223,6 +256,10 @@ class Record(_Frozen):
 
     __slots__ = ()
     __post_init__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _fields_only(cls)
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__  # the fields in order, set by dataclass
@@ -250,14 +287,6 @@ class Record(_Frozen):
         return hash(tuple(self.__dict__.values()))
 
 
-# Node and record classes are dataclasses for `fields` and `replace` only,
-# with no generated methods: `Formula` builds every node and `Record` every
-# record, and `_Frozen` prints and freezes both.  A node's equality and
-# hash stay identity.
-_fields_only = dataclass(init=False, repr=False, eq=False)
-
-
-@_fields_only
 class Atom(Formula):
     """Propositional atom."""
 
@@ -268,29 +297,24 @@ class Atom(Formula):
             raise FormulaError("bad atom name %r" % (self.name,))
 
 
-@_fields_only
 class Top(Formula):
     """The constant true."""
 
 
-@_fields_only
 class Bot(Formula):
     """The constant false."""
 
 
-@_fields_only
 class IdealAtom(Formula):
     """Holds at states that belong to some ideal pair."""
 
 
-@_fields_only
 class OkAtom(Formula):
     """Holds where the agent's cell meets the ideal partners of the state."""
 
     agent: str
 
 
-@_fields_only
 class MetaFormula(Formula):
     """Schema variable standing for an arbitrary formula."""
 
@@ -301,14 +325,12 @@ class MetaFormula(Formula):
             raise FormulaError("bad schema variable %r" % (self.name,))
 
 
-@_fields_only
 class Not(Formula):
     """Negation."""
 
     body: Formula
 
 
-@_fields_only
 class And(Formula):
     """Conjunction."""
 
@@ -316,7 +338,6 @@ class And(Formula):
     right: Formula
 
 
-@_fields_only
 class Or(Formula):
     """Disjunction."""
 
@@ -324,7 +345,6 @@ class Or(Formula):
     right: Formula
 
 
-@_fields_only
 class Imp(Formula):
     """Implication."""
 
@@ -332,7 +352,6 @@ class Imp(Formula):
     right: Formula
 
 
-@_fields_only
 class Iff(Formula):
     """Biconditional."""
 
@@ -340,7 +359,6 @@ class Iff(Formula):
     right: Formula
 
 
-@_fields_only
 class K(Formula):
     """Knowledge of `agent`, relative to the information of `deps`.
 
@@ -358,7 +376,6 @@ class K(Formula):
             raise FormulaError("agent %r cannot be its own dependency" % self.agent)
 
 
-@_fields_only
 class D(Formula):
     """Distributed knowledge of a group."""
 
@@ -366,7 +383,6 @@ class D(Formula):
     body: Formula
 
 
-@_fields_only
 class Share(Formula):
     """Body holds after the sender shares with the receiver."""
 
@@ -375,7 +391,6 @@ class Share(Formula):
     body: Formula
 
 
-@_fields_only
 class ResolveInfo(Formula):
     """Body holds after the group pools raw information (cell intersection)."""
 
@@ -383,7 +398,6 @@ class ResolveInfo(Formula):
     body: Formula
 
 
-@_fields_only
 class Everybody(Formula):
     """Defined: conjunction of individual knowledge over the group."""
 
@@ -391,7 +405,6 @@ class Everybody(Formula):
     body: Formula
 
 
-@_fields_only
 class Resolution(Formula):
     """Defined: round-trip share chain through the group, in listed order."""
 
@@ -399,7 +412,6 @@ class Resolution(Formula):
     body: Formula
 
 
-@_fields_only
 class LeaderResolution(Formula):
     """Defined: one-way share chain from the leader through the group."""
 
@@ -414,7 +426,6 @@ class LeaderResolution(Formula):
                                % (self.leader, self.group))
 
 
-@_fields_only
 class Permitted(Formula):
     """Defined: the agent knows the body and is in an allowed position."""
 
@@ -422,7 +433,6 @@ class Permitted(Formula):
     body: Formula
 
 
-@_fields_only
 class Obliged(Formula):
     """Defined: not permitted to have the body false."""
 
@@ -430,57 +440,11 @@ class Obliged(Formula):
     body: Formula
 
 
-@_fields_only
 class PermittedShare(Formula):
     """Defined: after sender shares with receiver, the receiver is allowed."""
 
     sender: str
     receiver: str
-
-
-# ---------------------------------------------------------------------------
-# field roles: the one place that says what each node field holds
-
-_SUB, _AGENT, _AGENTS, _PAYLOAD = "subformula", "agent", "agents", "payload"
-
-_ROLES = {
-    "body": _SUB, "left": _SUB, "right": _SUB,
-    "agent": _AGENT, "sender": _AGENT, "receiver": _AGENT, "leader": _AGENT,
-    "group": _AGENTS, "deps": _AGENTS,
-    "name": _PAYLOAD,
-}
-
-# what a repeated name in each agent tuple field is reported as
-_DUPLICATE = {"group": "duplicate agent in group %r",
-              "deps": "duplicate dependency in %r"}
-
-
-@functools.cache
-def _layout(cls: type) -> tuple:
-    """(field name, role) of each field of a node class, in field order."""
-    out = []
-    for fld in fields(cls):
-        if fld.name not in _ROLES:
-            raise FormulaError("field %s.%s has no role"
-                               % (cls.__name__, fld.name))
-        out.append((fld.name, _ROLES[fld.name]))
-    return tuple(out)
-
-
-@functools.cache
-def _checked_fields(cls: type) -> tuple:
-    """(field name, role, whether it has a default) of each subformula,
-    agent and agent tuple field of a node class, in field order."""
-    return tuple((name, role, default is not MISSING)
-                 for (name, role), default in zip(_layout(cls), _defaults(cls))
-                 if role is not _PAYLOAD)
-
-
-@functools.cache
-def _agent_fields(cls: type) -> tuple:
-    """`_checked_fields` of the agent and agent tuple fields."""
-    return tuple(checked for checked in _checked_fields(cls)
-                 if checked[1] is not _SUB)
 
 
 def rebuild(f: Formula, sub: Callable[[Formula], Formula],
@@ -489,7 +453,7 @@ def rebuild(f: Formula, sub: Callable[[Formula], Formula],
     agent name; return `f` itself when nothing changes."""
     args = []
     changed = False
-    for name, role in _layout(type(f)):
+    for name, role, _ in f._layout:
         old = new = getattr(f, name)
         if role is _SUB:
             # nodes are interned, so identity is equality
@@ -521,8 +485,7 @@ def _rewrite(f: Formula, leaf: Callable, agent, memo: dict) -> Formula:
 
 
 def _children(f: Formula) -> list:
-    return [getattr(f, name) for name, role in _layout(type(f))
-            if role is _SUB]
+    return [getattr(f, name) for name, role, _ in f._layout if role is _SUB]
 
 
 def _walk(f: Formula) -> Iterator[Formula]:
@@ -597,8 +560,9 @@ _OPTIONAL = "optional"
 def _program(cls: type, head: str) -> tuple:
     """The head as (word, field role) steps.  An agent field's word is its
     field name; a literal word has no role."""
-    roles = dict(_layout(cls))
-    defaults = {name for name, _, default in _agent_fields(cls) if default}
+    roles = {name: role for name, role, _ in cls._layout}
+    defaults = {name for name, _, default in cls._layout
+                if default is not MISSING}
     words = _WORD_RE.findall(head)
     steps = []
     for word, after in zip(words, words[1:] + [""]):
@@ -715,7 +679,7 @@ class _Parser:
         """Read a head; return the node's fields in order, each one the
         head does not give (the body) at its default."""
         names = cls.__match_args__
-        values = list(_defaults(cls))
+        values = [default for _, _, default in cls._layout]
         steps = iter(program)
         for word, role in steps:
             if role is _AGENT:
@@ -858,7 +822,10 @@ def expand(f: Formula) -> Formula:
 
     The result is cached on the node, so each distinct node is expanded
     once while it lives."""
-    g = f._kernel
+    try:
+        g = f._kernel
+    except AttributeError:
+        raise FormulaError("not a formula: %r" % (f,)) from None
     if g is _KERNEL:
         return f
     if g is None:
@@ -920,7 +887,6 @@ def substitute(f: Formula, formulas: Mapping | None = None,
     return rewrite(f, leaf, sub_agent)
 
 
-@_fields_only
 class Schema(Record):
     """A named formula template with uppercase placeholders."""
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping
 
-from .formula import Record, _fields_only, _is_name
+from .formula import Record, _is_name
 
 
 class ModelError(ValueError):
@@ -313,7 +313,6 @@ class Model:
             list(self.states), list(self.agents), self.point)
 
 
-@_fields_only
 class PointedModel(Record):
     model: Model
     point: str

@@ -29,8 +29,8 @@ from dataclasses import replace
 
 from .formula import (And, Atom, Formula, IdealAtom, Iff, Imp, K, Not,
                       OkAtom, Or, PermittedShare, Record, Schema, Share,
-                      _fields_only, expand, instantiate, meta_agents_of,
-                      meta_formulas_of, parse, rewrite)
+                      expand, instantiate, meta_agents_of, meta_formulas_of,
+                      parse, rewrite)
 # unused here; bench/layers.py traces `lab.substitute` by name
 from .formula import substitute  # noqa: F401
 from .kripke import Model, atoms_partition, dep_closure
@@ -46,7 +46,6 @@ EXHAUSTIVE = (3, 2, 2)
 INVALIDITY_TIER = (4, 2, 2)
 
 
-@_fields_only
 class GenConfig(Record):
     """Shape of the random model tier; the seed pins every draw."""
 
@@ -137,6 +136,9 @@ def enumerate_models(max_states: int, n_agents: int, n_atoms: int,
     State relabelling can sort the valuation codes without loss, so every
     isomorphism class of models has at least one representative here.
     """
+    if type(max_states) is not int or max_states < 1:
+        raise ValueError("a model bank needs max_states >= 1, got %r"
+                         % (max_states,))
     if not all(type(n) is int and 1 <= n <= 3 for n in (n_agents, n_atoms)):
         raise ValueError("a model bank needs 1 to 3 agents and atoms, got"
                          " %r and %r" % (n_agents, n_atoms))
@@ -170,7 +172,6 @@ def enumerate_models(max_states: int, n_agents: int, n_atoms: int,
 # schema registry
 
 
-@_fields_only
 class SchemaSpec(Record):
     name: str
     template: str | None          # None runs the checker `_CHECKERS[name]`;
@@ -278,7 +279,6 @@ RULES = tuple(s.name for s in _SPECS if s.expect == "rule")
 REPORT_ONLY = tuple(s.name for s in _SPECS if s.expect == "report")
 
 
-@_fields_only
 class LabReport(Record):
     """Outcome of one schema check over a model bank."""
 
@@ -509,12 +509,16 @@ def run_all(cfg: GenConfig = DEFAULT_CONFIG):
 # golden facts for the built-in models
 
 
-@_fields_only
 class GoldenFact(Record):
     label: str
     model: str
     formula: str
     expected: bool
+
+    def __post_init__(self):
+        if self.model not in PRESETS:
+            raise ValueError("unknown model %r; choose from: %s"
+                             % (self.model, ", ".join(PRESETS)))
 
 
 GOLDEN_FACTS = (
@@ -584,7 +588,6 @@ GOLDEN_FACTS = (
 )
 
 
-@_fields_only
 class FactResult(Record):
     fact: GoldenFact
     got: bool
@@ -594,7 +597,6 @@ class FactResult(Record):
         return self.got == self.fact.expected
 
 
-@_fields_only
 class ReadingResult(Record):
     """One permission fact under the two readings of the Ok conjunct."""
 
@@ -604,7 +606,6 @@ class ReadingResult(Record):
     possibility: bool     # receiver considers some ideal state possible
 
 
-@_fields_only
 class ReferenceReport(Record):
     facts: tuple
     readings: tuple

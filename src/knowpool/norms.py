@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .formula import Formula, OkAtom, Record, _fields_only
+from .formula import Formula, OkAtom, Record
 from .kripke import Model, PointedModel
 # unused by the planner; bench/layers.py traces `norms.fingerprint` by name
 from .kripke import fingerprint  # noqa: F401
@@ -38,7 +38,6 @@ from .semantics import extension  # noqa: F401
 from .update import share_update
 
 
-@_fields_only
 class Plan(Record):
     """A share sequence, the per-step verdicts, and the goal outcome."""
 

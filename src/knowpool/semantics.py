@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .formula import (_AGENT, And, Atom, Bot, D, Formula, Iff, IdealAtom, Imp,
-                      K, MetaFormula, Not, OkAtom, Or, Record, ResolveInfo,
-                      Share, Top, _agent_fields, _fields_only, expand)
+from .formula import (_AGENT, _AGENTS, And, Atom, Bot, D, Formula, Iff,
+                      IdealAtom, Imp, K, MetaFormula, Not, OkAtom, Or, Record,
+                      ResolveInfo, Share, Top, expand)
 from .kripke import Model, PointedModel, _meet, _relation, _state_bit, save
 # unused here; bench/layers.py traces `semantics.dep_closure` by name
 from .kripke import dep_closure  # noqa: F401
@@ -219,7 +219,9 @@ def _meta(m: Model, memo: dict, f: MetaFormula, ctx: EvalContext,
 # each kernel node type -> (its rule, its agent slots, which `_ext` looks up
 # in the model before the rule runs).  The Boolean rules pass `need` to
 # both sides.
-_RULES = {cls: (rule, _agent_fields(cls)) for cls, rule in {
+_RULES = {cls: (rule, tuple(slot for slot in cls._layout
+                            if slot[1] in (_AGENT, _AGENTS)))
+          for cls, rule in {
     Atom: _atom,
     Top: lambda m, memo, f, ctx, need: m._frame.full,
     Bot: lambda m, memo, f, ctx, need: 0,
@@ -267,7 +269,6 @@ def _need_ideal(m: Model, what: str) -> None:
         raise EvalError("%s needs a model with an ideal relation" % what)
 
 
-@_fields_only
 class CheckResult(Record):
     value: bool
     state: str

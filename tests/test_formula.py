@@ -10,7 +10,7 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -364,19 +364,16 @@ class TestRebuild:
                  if cls.__module__ == formula.__name__]
         assert len(nodes) == 21
         for cls in nodes:
-            layout = formula._layout(cls)
-            assert [name for name, _ in layout] == \
+            layout = cls._layout
+            assert [name for name, _, _ in layout] == \
                 [fld.name for fld in fields(cls)]
             assert all(role in ("subformula", "agent", "agents", "payload")
-                       for _, role in layout)
+                       for _, role, _ in layout)
 
     def test_a_field_without_a_role_raises(self):
-        @dataclass(frozen=True)
-        class Odd(Formula):
-            weight: int
-
         with pytest.raises(FormulaError, match="Odd.weight has no role"):
-            rebuild(Odd(3), lambda g: g)
+            class Odd(Formula):
+                weight: int
 
     def test_agents_are_renamed_in_every_slot(self):
         f = parse("Rk{a;a,b}D{a,b}K{a|b}[b>a]Perm(a>b) & Ok{b}")
@@ -388,7 +385,7 @@ class TestRebuild:
 _AGENT_SLOTS = [(cls, name, role)
                 for cls in Formula.__subclasses__()
                 if cls.__module__ == formula.__name__
-                for name, role in formula._layout(cls)
+                for name, role, _ in cls._layout
                 if role in ("agent", "agents")]
 # a valid value for each agent field, so that one slot at a time goes bad
 _GOOD = {"agent": "a", "sender": "a", "receiver": "b", "leader": "a",
@@ -397,7 +394,7 @@ _GOOD = {"agent": "a", "sender": "a", "receiver": "b", "leader": "a",
 
 def _build(cls, **changed):
     args = {name: Atom("p") if role == "subformula" else _GOOD[name]
-            for name, role in formula._layout(cls)}
+            for name, role, _ in cls._layout}
     args.update(changed)
     return cls(**args)
 
@@ -454,7 +451,7 @@ class TestAgentSlots:
 _SUB_SLOTS = [(cls, name)
               for cls in Formula.__subclasses__()
               if cls.__module__ == formula.__name__
-              for name, role in formula._layout(cls)
+              for name, role, _ in cls._layout
               if role == "subformula"]
 
 

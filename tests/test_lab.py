@@ -11,7 +11,7 @@ from knowpool.formula import (K, OkAtom, Schema, _walk, expand, instantiate,
 from knowpool.kripke import Model, PointedModel
 from knowpool.lab import (DEFAULT_CONFIG, GOLDEN_FACTS, REQUIRED_INVALID,
                           REQUIRED_VALID, REPORT_ONLY, RULES, SCHEMAS,
-                          GenConfig, Lab, LabReport, check_fact,
+                          GenConfig, GoldenFact, Lab, LabReport, check_fact,
                           check_schema, compare_readings, enumerate_models,
                           gen_model, run_reference_suite, _pool_for,
                           _possibility_reading)
@@ -210,6 +210,30 @@ def test_bank_shape_out_of_range_is_a_value_error(shape):
         list(enumerate_models(*shape))
     assert str(err.value) == "a model bank needs 1 to 3 agents and atoms," \
         " got %r and %r" % shape[1:]
+
+
+@pytest.mark.parametrize("max_states", [2.5, 0, -1, True, "2", None],
+                         ids=["float", "zero", "negative", "bool", "str",
+                              "none"])
+def test_bank_size_out_of_range_is_a_value_error(max_states):
+    # unchecked, 2.5 raised a bare TypeError, 0 yielded no model without a
+    # word and True ran as 1
+    with pytest.raises(ValueError) as err:
+        list(enumerate_models(max_states, 2, 2))
+    assert str(err.value) == "a model bank needs max_states >= 1, got %r" \
+        % (max_states,)
+
+
+def test_unknown_fact_model_is_a_value_error():
+    # check_fact raised a bare KeyError looking the model up; the fact now
+    # names a preset when it is built, for check_fact and the suite alike
+    want = ("unknown model 'zz'; choose from: service_desk,"
+            " service_desk_deontic, overlap")
+    for build in (lambda: GoldenFact("x", "zz", "p", True),
+                  lambda: dataclasses.replace(GOLDEN_FACTS[0], model="zz")):
+        with pytest.raises(ValueError) as err:
+            check_fact(build())
+        assert str(err.value) == want
 
 
 def test_unknown_schema_is_a_value_error():

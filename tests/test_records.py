@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from knowpool.formula import Atom, Schema, parse
+from knowpool.formula import Atom, Formula, Record, Schema, parse, substitute
 from knowpool.kripke import ModelError, PointedModel, pointed
 from knowpool.lab import (DEFAULT_CONFIG, GOLDEN_FACTS, FactResult, GenConfig,
                           GoldenFact, LabReport, ReadingResult,
@@ -73,6 +73,27 @@ def test_importing_the_cli_generates_no_dataclass_method():
                           capture_output=True, text=True, timeout=60)
     # 21 formula nodes and 11 records
     assert (done.returncode, done.stdout, done.stderr) == (0, "32 []\n", "")
+
+
+def test_a_subclass_is_set_up_when_it_is_defined():
+    # no decorator: subclassing Formula or Record makes a fields-only
+    # dataclass, and a node class reads its layout off the role table
+    class Tell(Formula):
+        agent: str
+        body: Formula
+
+    class Pair(Record):
+        left: int
+        right: int = 0
+
+    assert [f.name for f in fields(Tell)] == ["agent", "body"]
+    assert [f.name for f in fields(Pair)] == ["left", "right"]
+    for cls in (Tell, Pair):
+        assert not {"__init__", "__eq__", "__repr__"} & set(vars(cls))
+    p = Atom("p")
+    assert Tell("a", p) is Tell(agent="a", body=p)
+    assert substitute(Tell("a", p), agents={"a": "b"}) is Tell("b", p)
+    assert Pair(1, 2) == Pair(1, 2) and Pair(1) == Pair(1, 0) != Pair(2)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)

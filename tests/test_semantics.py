@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knowpool import semantics
-from knowpool.formula import (And, Atom, Bot, D, Everybody, IdealAtom, Iff,
-                              Imp, K, LeaderResolution, MetaFormula, Not,
-                              Obliged, OkAtom, Or, Permitted, PermittedShare,
-                              Resolution, ResolveInfo, Share, Top, expand,
-                              parse)
+from knowpool.formula import (And, Atom, Bot, D, Everybody, FormulaError,
+                              IdealAtom, Iff, Imp, K, LeaderResolution,
+                              MetaFormula, Not, Obliged, OkAtom, Or, Permitted,
+                              PermittedShare, Resolution, ResolveInfo, Share,
+                              Top, expand, parse)
 from knowpool.kripke import Model, ModelError, PointedModel, load, pointed
 from knowpool.lab import (GOLDEN_FACTS, GenConfig, gen_model,
                           run_reference_suite)
+from knowpool.norms import plan
 from knowpool.presets import PRESETS, overlap, service_desk, \
     service_desk_deontic
 from knowpool.semantics import (CheckResult, EvalContext, EvalError, check,
@@ -229,6 +230,22 @@ class TestGlobalTruth:
         assert global_truth(m, parse("p | ~p"))
         assert not global_truth(m, parse("p"))
         assert global_truth(m, parse("K{a}p -> p"))
+
+
+@pytest.mark.parametrize("value", ["p", None])
+@pytest.mark.parametrize("call", [
+    lambda f: extension(service_desk(), f),
+    lambda f: holds(service_desk(), "s0", f),
+    lambda f: global_truth(service_desk(), f),
+    lambda f: check(pointed(service_desk()), f),
+    lambda f: plan(pointed(service_desk_deontic()), f),
+], ids=["extension", "holds", "global_truth", "check", "plan"])
+def test_a_non_formula_is_a_formula_error(call, value):
+    # each call reached the evaluator through `expand`, which raised a bare
+    # AttributeError reading the cached kernel
+    with pytest.raises(FormulaError) as err:
+        call(value)
+    assert str(err.value) == "not a formula: %r" % (value,)
 
 
 class TestContext:
