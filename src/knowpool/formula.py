@@ -730,6 +730,8 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a formula."""
+    if not isinstance(text, str):
+        raise FormulaError("formula text must be a string, got %r" % (text,))
     return _Parser(text).run()
 
 
@@ -884,7 +886,10 @@ def substitute(f: Formula, formulas: Mapping | None = None,
             raise FormulaError("unbound formula variable %r" % g.name)
         return fmap[g.name] if isinstance(g, MetaFormula) else None
 
-    return rewrite(f, leaf, sub_agent)
+    out = rewrite(f, leaf, sub_agent)
+    if not isinstance(out, Formula):  # the placeholder was the whole formula
+        raise FormulaError("bad subformula %r" % (out,))
+    return out
 
 
 class Schema(Record):

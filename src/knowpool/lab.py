@@ -368,7 +368,7 @@ class Lab:
         `(instance, state)` for a refuted one; models with fewer agents than
         the schema needs are skipped and not counted.
         """
-        spec = SCHEMAS.get(name)
+        spec = SCHEMAS.get(name) if isinstance(name, str) else None
         if spec is None:
             raise ValueError("unknown schema %r; choose from: %s"
                              % (name, ", ".join(SCHEMAS)))
@@ -516,7 +516,7 @@ class GoldenFact(Record):
     expected: bool
 
     def __post_init__(self):
-        if self.model not in PRESETS:
+        if not isinstance(self.model, str) or self.model not in PRESETS:
             raise ValueError("unknown model %r; choose from: %s"
                              % (self.model, ", ".join(PRESETS)))
 

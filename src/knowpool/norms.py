@@ -1,10 +1,10 @@
 """Permissibility of sharing and breadth-first search for sharing plans.
 
-A share is permissible when the receiver still has an ideal transition at
-hand afterwards.  A plan is a sequence of shares, each judged at the moment
-it is executed, leading to a model where the goal formula holds at the
-point.  Search is breadth-first, so returned plans have minimal length, and
-ties break by the lexicographic order of (sender, receiver) pairs.
+A share is permissible iff `Perm(sender>receiver)` holds at the point.  A
+plan is a sequence of shares, each judged at the moment it is executed,
+leading to a model where the goal formula holds at the point.  Search is
+breadth-first, so returned plans have minimal length, and ties break by the
+lexicographic order of (sender, receiver) pairs.
 
 Search nodes are deduplicated on the exact model.  Every node shares the
 states, valuation, ideal relation and point of the start model, so two nodes
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .formula import Formula, OkAtom, Record
+from .formula import Formula, OkAtom, PermittedShare, Record
 from .kripke import Model, PointedModel
 # unused by the planner; bench/layers.py traces `norms.fingerprint` by name
 from .kripke import fingerprint  # noqa: F401
@@ -51,12 +51,9 @@ class Plan(Record):
 
 
 def permissible_share(pm: PointedModel, sender: str, receiver: str) -> bool:
-    """Whether sharing leaves the receiver an ideal transition at the point."""
-    m = pm.model
-    if m.ideal is None:
-        raise EvalError("permissibility needs a model with an ideal relation")
-    after = share_update(m, pm.point, sender, receiver)
-    return _verdict(after, pm.point, receiver, EvalContext())
+    """Whether `Perm(sender>receiver)`, that is
+    `[sender>receiver]Ok{receiver}`, holds at the point."""
+    return holds(pm.model, pm.point, PermittedShare(sender, receiver))
 
 
 def _verdict(m: Model, w: str, receiver: str, ctx: EvalContext):

@@ -34,7 +34,7 @@ from collections import defaultdict
 from .formula import (_AGENT, _AGENTS, And, Atom, Bot, D, Formula, Iff,
                       IdealAtom, Imp, K, MetaFormula, Not, OkAtom, Or, Record,
                       ResolveInfo, Share, Top, expand)
-from .kripke import Model, PointedModel, _meet, _relation, _state_bit, save
+from .kripke import Model, PointedModel, _meet, _state_bit
 # unused here; bench/layers.py traces `semantics.dep_closure` by name
 from .kripke import dep_closure  # noqa: F401
 from .update import resolve_update, share_update
@@ -70,7 +70,7 @@ class EvalContext:
             i = m._frame.index[w]
             key = receiver, m._cell_at[receiver][i], m._closure_at(sender)[i]
         except (KeyError, TypeError):  # a name `m` lacks: say which
-            _state_bit(m, w), _relation(m, sender), _relation(m, receiver)
+            share_update(m, w, sender, receiver)
             raise
         return self._model(m, key, share_update, w, sender, receiver)
 
@@ -162,11 +162,8 @@ def _atom(m: Model, memo: dict, f: Atom, ctx: EvalContext, need: int) -> int:
 
 
 def _box(m: Model, memo: dict, f: K | D, ctx: EvalContext, need: int) -> int:
-    reach = _reach(m, f)
-    if need == m._frame.full:  # every state reaches into the body
-        body = _ext(m, memo, f.body, ctx, need)
-        return _states_where(r & body == r for r in reach)
     # the body is needed on the reach of each needed state only
+    reach = _reach(m, f)
     ask = 0
     for i, r in enumerate(reach):
         if need >> i & 1:
@@ -281,7 +278,7 @@ class CheckResult(Record):
 def check(pm: PointedModel, f: Formula, ctx: EvalContext | None = None) -> CheckResult:
     """Truth at the point, read through `holds`.  A false knowledge box
     carries one falsifying accessible state, its body asked on the point's
-    reach; a false share carries the updated model and the inner failure."""
+    reach; a false share carries `(updated model, inner CheckResult)`."""
     if ctx is None:
         ctx = EvalContext()
     m = pm.model
@@ -297,7 +294,7 @@ def check(pm: PointedModel, f: Formula, ctx: EvalContext | None = None) -> Check
         elif isinstance(g, Share):
             updated = ctx.updated(m, pm.point, g.sender, g.receiver)
             inner = check(PointedModel(updated, pm.point), g.body, ctx)
-            witness = (save(updated), inner)
+            witness = (updated, inner)
     return CheckResult(value, pm.point, witness)
 
 

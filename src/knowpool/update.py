@@ -56,6 +56,8 @@ def resolve_update(m: Model, group: Iterable) -> Model:
 def apply_sequence(pm: PointedModel, steps: Iterable) -> PointedModel:
     """Fold `(sender, receiver)` share updates left to right, each anchored
     at the point; the same pointed model if no step changes anything."""
+    if not hasattr(steps, "__iter__"):
+        raise ModelError("%r is not a sequence of share steps" % (steps,))
     m = pm.model
     for step in steps:
         if not (isinstance(step, (tuple, list)) and len(step) == 2):

@@ -33,6 +33,14 @@ from knowpool.semantics import EvalContext, extension
 
 
 class TestParse:
+    @pytest.mark.parametrize("text", [5, None, b"p"])
+    def test_text_must_be_a_string(self, text):
+        # the tokenizer's regex raised a bare TypeError
+        with pytest.raises(FormulaError) as err:
+            parse(text)
+        assert str(err.value) == \
+            "formula text must be a string, got %r" % (text,)
+
     def test_atoms_and_constants(self):
         assert parse("p") == Atom("p")
         assert parse("true") == Top()
@@ -713,6 +721,15 @@ class TestSchema:
         texts = {print_formula(f) for f in got}
         assert "K{a}p -> K{a|b}p" in texts
         assert all("K{a|a}" not in t and "K{b|b}" not in t for t in texts)
+
+    def test_a_whole_formula_placeholder_takes_only_a_formula(self):
+        # a nested placeholder already raised; the whole formula returned 3
+        for call in (lambda: substitute(parse("PHI"), {"PHI": 3}),
+                     lambda: list(instantiate(Schema("s", parse("PHI")),
+                                              [3], []))):
+            with pytest.raises(FormulaError) as err:
+                call()
+            assert str(err.value) == "bad subformula 3"
 
     def test_instantiate_needs_enough_agents(self):
         schema = Schema("three", parse("K{A}K{B}K{C}PHI"))

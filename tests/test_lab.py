@@ -236,6 +236,21 @@ def test_unknown_fact_model_is_a_value_error():
         assert str(err.value) == want
 
 
+def test_unhashable_fact_model_is_a_value_error():
+    # looking an unhashable name up raised a bare TypeError
+    with pytest.raises(ValueError) as err:
+        GoldenFact("x", ["zz"], "p", True)
+    assert str(err.value) == ("unknown model ['zz']; choose from:"
+                              " service_desk, service_desk_deontic, overlap")
+
+
+def test_unhashable_schema_name_is_a_value_error():
+    with pytest.raises(ValueError) as err:
+        check_schema(["kt"], CFG)
+    assert str(err.value) == \
+        "unknown schema ['kt']; choose from: %s" % ", ".join(SCHEMAS)
+
+
 def test_unknown_schema_is_a_value_error():
     # the CLI prints this text; the library raised a bare KeyError
     want = "unknown schema 'zz'; choose from: %s" % ", ".join(SCHEMAS)

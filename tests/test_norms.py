@@ -4,13 +4,13 @@ import time
 
 import pytest
 
-from knowpool.formula import agents_of, parse
+from knowpool.formula import PermittedShare, agents_of, parse
 from knowpool import norms
 from knowpool.kripke import Model, pointed
 from knowpool.lab import GenConfig, gen_model
 from knowpool.norms import Plan, permissible_share, plan
 from knowpool.presets import PRESETS, service_desk, service_desk_deontic
-from knowpool.semantics import EvalError
+from knowpool.semantics import EvalError, holds
 from knowpool.update import share_update
 
 from oracles import fingerprint_plan
@@ -30,6 +30,25 @@ class TestPermissibleShare:
     def test_needs_an_ideal_relation(self):
         with pytest.raises(EvalError):
             permissible_share(pointed(service_desk()), "a", "c")
+
+    def test_is_perm_at_the_point(self):
+        # every state and agent pair of 300 random deontic models
+        cfg = GenConfig(deontic=True, seed=5)
+        cases = 0
+        for i in range(300):
+            m = gen_model(cfg, i)
+            for w in m.states:
+                for a in m.agents:
+                    for b in m.agents:
+                        assert permissible_share(pointed(m, w), a, b) \
+                            == holds(m, w, PermittedShare(a, b))
+                        cases += 1
+        assert cases == 8055
+
+    @pytest.mark.parametrize("pair", [("a", "zz"), ("zz", "c")])
+    def test_an_unknown_agent_is_named(self, pair):
+        with pytest.raises(ValueError, match="unknown agent 'zz'"):
+            permissible_share(pointed(service_desk_deontic()), *pair)
 
 
 class TestPlan:

@@ -13,7 +13,7 @@ from knowpool.formula import (And, Atom, Bot, D, Everybody, FormulaError,
                               MetaFormula, Not, Obliged, OkAtom, Or, Permitted,
                               PermittedShare, Resolution, ResolveInfo, Share,
                               Top, expand, parse)
-from knowpool.kripke import Model, ModelError, PointedModel, load, pointed
+from knowpool.kripke import Model, ModelError, PointedModel, pointed
 from knowpool.lab import (GOLDEN_FACTS, GenConfig, gen_model,
                           run_reference_suite)
 from knowpool.norms import plan
@@ -139,8 +139,9 @@ class TestCheck:
         pm = pointed(service_desk())
         res = check(pm, parse("[a>c]K{c|a}((p->q) & ~K{c}(p->q))"))
         assert not res
-        data, inner = res.witness
-        assert load(data) == share_update(pm.model, "s0", "a", "c")
+        updated, inner = res.witness
+        assert isinstance(updated, Model)
+        assert updated == share_update(pm.model, "s0", "a", "c")
         assert isinstance(inner, CheckResult) and not inner
         assert inner.state == "s0" and inner.witness == "s0"
 

@@ -228,6 +228,12 @@ class TestSequence:
         assert apply_sequence(pm, []) is pm
         assert apply_sequence(pm, [("a", "a")]) is pm
 
+    @pytest.mark.parametrize("steps", [None, 5])
+    def test_steps_must_be_iterable(self, steps):
+        # as resolve_update does for a group; iterating raised a TypeError
+        with pytest.raises(ModelError, match="not a sequence of share steps"):
+            apply_sequence(pointed(service_desk()), steps)
+
     @pytest.mark.parametrize("step", ["ac", ("a",), ("a", "b", "c"), None])
     def test_a_step_must_be_a_pair(self, step):
         with pytest.raises(ModelError, match="not a pair"):
