@@ -4,7 +4,12 @@ Concrete syntax: binary connectives, then prefix operators, each applying
 to the prefix formula that follows, then atomic formulas and parenthesized
 formulas.  Two tables say how every operator is written, and the parser and
 printer both read them: `_BINARY` lists the connectives from loosest to
-tightest, and `_HEADS` the head of every other operator.
+tightest, and `_HEADS` the head of every other operator.  The parser reads
+the connectives by precedence climbing (Pratt, "Top down operator
+precedence", 1973): one loop per operand takes each connective at least as
+tight as its caller allows, so a word costs one table lookup however many
+levels `_BINARY` has, and each head is read by a program of steps that
+carry their field's index.
 
 Atoms and agent names are lowercase identifiers other than the keywords
 `true` and `false` (`_is_name`, which models check too).  Uppercase
@@ -24,7 +29,11 @@ except the placeholders it is told are free.
 Nodes are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): the constructor binds its arguments to the node's
 fields and returns the equal node from a weak table of live nodes if there
-is one, so only a new node is built and validated.  Equal formulas are one
+is one, so only a new node is built and validated.  A new node enters the
+table through a weak reference that holds its key (`_Ref`), which removes
+the entry when the node dies; the table is asked a second time only when
+validation may have changed a field (an agent tuple given as another
+iterable) or the arguments did not hash.  Equal formulas are one
 object, equality and hashing go by identity, and a formula is a DAG whose
 shared subformulas (the body of an expanded `E`) are stored and walked
 once.  The node classes are dataclasses for `fields` and `replace` only:
@@ -86,7 +95,15 @@ def _check_agent(name: object) -> None:
 _TABLE = {}
 
 
-def _forget(ref: weakref.KeyedRef) -> None:
+class _Ref(weakref.ref):
+    """A weak reference to a node that holds the node's table key, set
+    once the reference is built: `weakref.KeyedRef` without its
+    Python-level `__new__` and `__init__`."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
     if _TABLE.get(ref.key) is ref:
         del _TABLE[ref.key]
 
@@ -96,34 +113,42 @@ class _Interned(type):
     are bound to the fields by the class's `_binder` (nothing to bind when
     every field is given in order, as `rebuild`, copies and the parser
     call), and the live node with those fields is returned if there is
-    one.  Otherwise a new node is built and validated, and dropped for a
-    live node it then equals (an agent tuple given as a list)."""
+    one.  Otherwise a new node is built and validated.  Validation changes
+    a field only to turn an agent group given as another iterable into a
+    tuple, so the table is asked again, for a live node the new one
+    equals, only for a class with an agent tuple or after an argument
+    that did not hash."""
 
     def __call__(cls, *args, **kwargs):
         names = cls.__match_args__  # the fields in order, set by dataclass
         if kwargs or len(args) != len(names):
             args = _binder(cls)(None, *args, **kwargs)
+        key = (cls, *args)
         try:
-            ref = _TABLE.get((cls, *args))
+            ref = _TABLE.get(key)
         except TypeError:  # an unhashable argument: let validation judge it
-            ref = None
-        live = None if ref is None else ref()
-        if live is not None:
-            return live
+            ref = key = None
+        if ref is not None:
+            live = ref()
+            if live is not None:
+                return live
         node = object.__new__(cls)
         node.__dict__.update(zip(names, args))
         node.__post_init__()
-        # validation keeps the fields in order, agent tuples normalised
-        key = (cls, *node.__dict__.values())
-        try:
-            ref = _TABLE.get(key)
-        except TypeError:  # an unhashable field; validation names most
-            raise FormulaError("unhashable field in %s%r"
-                               % (cls.__name__, key[1:])) from None
-        live = None if ref is None else ref()
-        if live is not None:
-            return live
-        _TABLE[key] = weakref.KeyedRef(node, _forget, key)
+        if key is None or cls._groups:
+            # validation keeps the fields in order, agent tuples normalised
+            key = (cls, *node.__dict__.values())
+            try:
+                ref = _TABLE.get(key)
+            except TypeError:  # an unhashable field; validation names most
+                raise FormulaError("unhashable field in %s%r"
+                                   % (cls.__name__, key[1:])) from None
+            if ref is not None:
+                live = ref()
+                if live is not None:
+                    return live
+        ref = _TABLE[key] = _Ref(node, _forget)
+        ref.key = key
         return node
 
 
@@ -211,25 +236,28 @@ class Formula(_Frozen, metaclass=_Interned):
                                    % (cls.__name__, fld.name))
             layout.append((fld.name, _ROLES[fld.name], fld.default))
         cls._layout = tuple(layout)
+        cls._groups = any(role is _AGENTS for _, role, _ in layout)
 
     def __post_init__(self):
         # every subformula and agent slot the role table names, in field
         # order; an agent tuple may be given as any iterable but a string,
         # and may be empty only if its field has a default (K's deps)
+        attrs = self.__dict__
         for name, role, default in self._layout:
-            value = getattr(self, name)
+            value = attrs[name]
             if role is _SUB:
                 if not isinstance(value, Formula):
                     raise FormulaError("bad subformula %r" % (value,))
             elif role is _AGENT:
                 _check_agent(value)
             elif role is _AGENTS:
-                # a string is not split into one agent per letter
-                if isinstance(value, str) or not hasattr(value, "__iter__"):
-                    raise FormulaError("agent group must be an iterable of"
-                                       " names, not %r" % (value,))
-                value = tuple(value)
-                object.__setattr__(self, name, value)
+                if type(value) is not tuple:
+                    # a string is not split into one agent per letter
+                    if isinstance(value, str) \
+                            or not hasattr(value, "__iter__"):
+                        raise FormulaError("agent group must be an iterable"
+                                           " of names, not %r" % (value,))
+                    value = attrs[name] = tuple(value)
                 if not value and default is MISSING:
                     raise FormulaError("agent group must be non-empty")
                 for a in value:
@@ -558,33 +586,40 @@ _OPTIONAL = "optional"
 
 
 def _program(cls: type, head: str) -> tuple:
-    """The head as (word, field role) steps.  An agent field's word is its
-    field name; a literal word has no role."""
-    roles = {name: role for name, role, _ in cls._layout}
+    """The head as (word, field role, field index) steps.  An agent field's
+    word is its field name; a literal word has no role and no index."""
+    slots = {name: (role, at)
+             for at, (name, role, _) in enumerate(cls._layout)}
     defaults = {name for name, _, default in cls._layout
                 if default is not MISSING}
     words = _WORD_RE.findall(head)
     steps = []
     for word, after in zip(words, words[1:] + [""]):
-        role = roles.get(word)
+        role, at = slots.get(word, (None, None))
         if role is None and after in defaults:
             role = _OPTIONAL
-        steps.append((word, role))
+        steps.append((word, role, at))
     return tuple(steps)
 
 
-# node class -> (head program, position of the body field; None for none)
+# node class -> (head program, position of the body field or None, the
+# fields' defaults in order, which a parsed node starts from)
 _SYNTAX = {cls: (_program(cls, head), cls.__match_args__.index("body")
-                 if "body" in cls.__match_args__ else None)
+                 if "body" in cls.__match_args__ else None,
+                 tuple(default for _, _, default in cls._layout))
            for cls, head in _HEADS}
 # a head's first word -> the node classes whose head it starts
 _STARTS = {}
-for _cls, (_steps, _) in _SYNTAX.items():
+for _cls, (_steps, _, _) in _SYNTAX.items():
     _STARTS.setdefault(_steps[0][0], []).append(_cls)
 _KEYWORDS = frozenset(word for word in _STARTS if word[0].isalpha())
 # binding strength: a binary node's position in _BINARY from 1, then heads
 _LEVEL = {cls: level for level, (_, cls, _) in enumerate(_BINARY, 1)}
 _PREFIX = len(_BINARY) + 1
+# a connective's word -> (its position in _BINARY, node class, right
+# associative), for the parser's precedence climbing
+_INFIX = {word: (level, cls, right)
+          for level, (word, cls, right) in enumerate(_BINARY)}
 
 
 # ---------------------------------------------------------------------------
@@ -642,20 +677,23 @@ class _Parser:
         self.pos += 1
 
     def binary(self, level: int) -> Formula:
-        """Parse the connectives of `_BINARY[level:]`."""
-        if level == len(_BINARY):
-            return self.unary()
-        word, cls, right = _BINARY[level]
-        f = self.binary(level + 1)
-        while self.words[self.pos] == word:
+        """Parse the connectives of `_BINARY[level:]` by precedence
+        climbing: one loop takes each connective at least as tight as
+        `level`, reading its right operand with the tighter ones only, or,
+        for a right-associative connective, with its own too."""
+        f = self.unary()
+        while True:
+            infix = _INFIX.get(self.words[self.pos])
+            if infix is None or infix[0] < level:
+                return f
             self.pos += 1
+            at, cls, right = infix
             if right:
                 self.enter()
-                f = cls(f, self.binary(level))
+                f = cls(f, self.binary(at))
                 self.depth -= 1
             else:
-                f = cls(f, self.binary(level + 1))
-        return f
+                f = cls(f, self.binary(at + 1))
 
     def unary(self) -> Formula:
         self.enter()
@@ -668,24 +706,22 @@ class _Parser:
         # picked before reading: only the leader `Rk` form has `;` at word 3
         cls = heads[-1] if self.words[self.pos + 3:self.pos + 4] == [";"] \
             else heads[0]
-        program, body = _SYNTAX[cls]
-        values = self.head(cls, program)
+        program, body, defaults = _SYNTAX[cls]
+        values = self.head(program, [*defaults])
         if body is not None:
             values[body] = self.unary()
         # every field in order: the constructor has nothing to bind
         return cls(*values)
 
-    def head(self, cls: type, program: tuple) -> list:
-        """Read a head; return the node's fields in order, each one the
-        head does not give (the body) at its default."""
-        names = cls.__match_args__
-        values = [default for _, _, default in cls._layout]
+    def head(self, program: tuple, values: list) -> list:
+        """Read a head into `values`, the node's fields in order at their
+        defaults, and return it; the body is left for the caller."""
         steps = iter(program)
-        for word, role in steps:
+        for word, role, at in steps:
             if role is _AGENT:
-                values[names.index(word)] = self.agent()
+                values[at] = self.agent()
             elif role is _AGENTS:
-                values[names.index(word)] = self.agent_list()
+                values[at] = self.agent_list()
             elif self.words[self.pos] == word:
                 self.pos += 1
             elif role is _OPTIONAL:
@@ -755,9 +791,9 @@ def _show(f: Formula, outer: int) -> str:
     elif cls is Atom or cls is MetaFormula:
         return f.name
     elif cls in _SYNTAX:
-        program, body = _SYNTAX[cls]
+        program, body, _ = _SYNTAX[cls]
         parts = []
-        for word, role in program:
+        for word, role, _ in program:
             if role is _AGENT:
                 parts.append(getattr(f, word))
             elif role is _AGENTS:

@@ -7,15 +7,18 @@ evaluation state, so a boxed formula may build a different model per
 state.  Evaluation is demand-driven (local model checking): each node is
 evaluated only on the states its caller needs, so a point query builds the
 updated models of the states it reaches and no others, while `extension`
-and `global_truth` need every state.  An `EvalContext` keeps one memo dict
-per model, holding the model's extensions per kernel node and its updated
-models, which are reused across states that trigger the same update.  The
-evaluator looks a model's memo dict up once when it enters the model, not
-once per node, and the context keeps one object per model content: an
-update that builds a model equal to one the context built before hands
-back the earlier object, so the memo finds it by identity.  Formula nodes
-are interned and cache their own expansion (see `formula`), so a memo key
-hashes in constant time and a formula seen before is not expanded again.
+and `global_truth` need every state.  The box and share rules loop over
+the needed states' bits (`kripke._members`) rather than every state, so a
+one-state need costs one step at each box and share.  An `EvalContext`
+keeps one memo dict per model, holding the model's extensions per kernel
+node and its updated models, which are reused across states that trigger
+the same update.  The evaluator looks a model's memo dict up once when it
+enters the model, not once per node, and the context keeps one object per
+model content: an update that builds a model equal to one the context
+built before hands back the earlier object, so the memo finds it by
+identity.  Formula nodes are interned and cache their own expansion (see
+`formula`), so a memo key hashes in constant time and a formula seen
+before is not expanded again.
 
 Evaluation works on state masks (see `kripke`): one rule per kernel node
 type maps a model, a node and a mask of needed states to the mask of the
@@ -34,7 +37,7 @@ from collections import defaultdict
 from .formula import (_AGENT, _AGENTS, And, Atom, Bot, D, Formula, Iff,
                       IdealAtom, Imp, K, MetaFormula, Not, OkAtom, Or, Record,
                       ResolveInfo, Share, Top, expand)
-from .kripke import Model, PointedModel, _meet, _state_bit
+from .kripke import Model, PointedModel, _meet, _members, _state_bit
 # unused here; bench/layers.py traces `semantics.dep_closure` by name
 from .kripke import dep_closure  # noqa: F401
 from .update import resolve_update, share_update
@@ -164,14 +167,15 @@ def _atom(m: Model, memo: dict, f: Atom, ctx: EvalContext, need: int) -> int:
 def _box(m: Model, memo: dict, f: K | D, ctx: EvalContext, need: int) -> int:
     # the body is needed on the reach of each needed state only
     reach = _reach(m, f)
+    needed = _members(need)
     ask = 0
-    for i, r in enumerate(reach):
-        if need >> i & 1:
-            ask |= r
+    for i in needed:
+        ask |= reach[i]
     body = _ext(m, memo, f.body, ctx, ask)
     out = 0
-    for i, r in enumerate(reach):
-        if need >> i & 1 and r & body == r:
+    for i in needed:
+        r = reach[i]
+        if r & body == r:
             out |= 1 << i
     return out
 
@@ -181,12 +185,13 @@ def _share(m: Model, memo: dict, f: Share, ctx: EvalContext, need: int) -> int:
     # for every state when every state is needed, since states that see
     # one updated model then share its one full evaluation
     full = m._frame.full
+    names = m._frame.names
     out = 0
-    for i, w in enumerate(m._frame.names):
-        if need >> i & 1:
-            updated = ctx.updated(m, w, f.sender, f.receiver)
-            out |= _ext(updated, ctx._memo[updated], f.body, ctx,
-                        full if need == full else 1 << i) & 1 << i
+    for i in _members(need):
+        bit = 1 << i
+        updated = ctx.updated(m, names[i], f.sender, f.receiver)
+        out |= _ext(updated, ctx._memo[updated], f.body, ctx,
+                    full if need == full else bit) & bit
     return out
 
 
@@ -256,6 +261,8 @@ def _reach(m: Model, f: K | D) -> tuple:
     the agent's cell met with each dependency's closure, or the meet of
     the group's cells."""
     if type(f) is K:
+        if not f.deps:
+            return m._cell_at[f.agent]
         return _meet([m._cell_at[f.agent]]
                      + [m._closure_at(d) for d in f.deps])
     return _meet([m._cell_at[a] for a in f.group])

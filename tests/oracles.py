@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from knowpool.formula import (And, Atom, Bot, D, Everybody, IdealAtom, Iff,
-                              Imp, K, LeaderResolution, Not, Obliged, OkAtom,
-                              Or, Permitted, PermittedShare, Resolution,
-                              ResolveInfo, Share, Top, meta_formulas_of,
-                              substitute)
+from knowpool.formula import (_BINARY, And, Atom, Bot, D, Everybody,
+                              IdealAtom, Iff, Imp, K, LeaderResolution, Not,
+                              Obliged, OkAtom, Or, Permitted, PermittedShare,
+                              Resolution, ResolveInfo, Share, Top, _Parser,
+                              meta_formulas_of, substitute)
 from knowpool.kripke import Model, PointedModel, dep_closure, fingerprint
 from knowpool.norms import Plan
 from knowpool.semantics import EvalContext, EvalError, extension
@@ -319,3 +319,30 @@ def _agents_in_slots(f):
 def _need_ideal(m):
     if m.ideal is None:
         raise EvalError("the deontic atoms need an ideal relation")
+
+
+class LayeredParser(_Parser):
+    """The parser with one recursive-descent level per connective of
+    `_BINARY`, as it was before precedence climbing: each level reads the
+    next tighter one, then loops over its own connective, reading a
+    right-associative one's right side at its own level.  Depth is
+    accounted as in the package's parser."""
+
+    def binary(self, level):
+        if level == len(_BINARY):
+            return self.unary()
+        word, cls, right = _BINARY[level]
+        f = self.binary(level + 1)
+        while self.words[self.pos] == word:
+            self.pos += 1
+            if right:
+                self.enter()
+                f = cls(f, self.binary(level))
+                self.depth -= 1
+            else:
+                f = cls(f, self.binary(level + 1))
+        return f
+
+
+def layered_parse(text):
+    return LayeredParser(text).run()

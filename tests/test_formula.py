@@ -27,9 +27,10 @@ from knowpool.formula import (MAX_DEPTH, And, Atom, Bot, D, Everybody,
                               meta_agents_of, meta_formulas_of, parse,
                               print_formula, rebuild, substitute)
 from knowpool.kripke import Model
-from knowpool.lab import SCHEMAS, _pool_for
+from knowpool.lab import GOLDEN_FACTS, SCHEMAS, _pool_for
 from knowpool.presets import service_desk_deontic
 from knowpool.semantics import EvalContext, extension
+from oracles import layered_parse
 
 
 class TestParse:
@@ -848,3 +849,101 @@ def test_parse_returns_or_raises_a_formula_error(text):
 def test_rebuild_with_identity_returns_the_node(f):
     assert rebuild(f, lambda g: g) is f
     assert rebuild(f, lambda g: g, lambda a: a) is f
+
+
+def _outcome(parse_text, text):
+    """The node `parse_text` returns for `text`, or its error's class,
+    message, line and column."""
+    try:
+        return parse_text(text)
+    except FormulaError as err:
+        return (type(err), str(err), getattr(err, "line", None),
+                getattr(err, "col", None))
+
+
+def _same_as_layered(text):
+    # nodes compare by identity, so equal outcomes are one node or one error
+    assert _outcome(parse, text) == _outcome(layered_parse, text), text
+
+
+# operands, some with an open or a closing parenthesis, and connectives,
+# so that precedence, associativity and parentheses decide each tree
+_OPERANDS = st.sampled_from(["p", "q", "~r", "K{a}p", "E{a,b}q", "(p", "q)",
+                             "(", ")", "~", "[a>b]", ""])
+_CONNECTIVES = st.sampled_from(["&", "|", "->", "<->"])
+_CHAINS = st.tuples(st.lists(st.tuples(_OPERANDS, _CONNECTIVES), max_size=12),
+                    _OPERANDS).map(lambda t: " ".join(
+                        "%s %s" % pair for pair in t[0]) + " " + t[1])
+
+
+class TestPrecedenceClimbing:
+    """The one-loop parser against the layered recursive descent it
+    replaced (`oracles.LayeredParser`): the same node, or the same error
+    at the same line and column."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(st.lists(_SYNTAX_BITS, max_size=20).map("".join),
+                     _CHAINS))
+    def test_random_text(self, text):
+        _same_as_layered(text)
+
+    @pytest.mark.parametrize("text", [
+        "p -> q -> r", "p <-> q <-> r", "p & q | r -> s <-> t",
+        "p <-> q -> r | s & t", "p -> q <-> r -> s", "(p -> q) -> r",
+        "p | q -> r & s -> t", "p -> ~q -> r", "p -> q | r -> s <-> t",
+        "p -> (q <-> r) & s", "p ->", "-> p", "p & & q", "p -> q )",
+        "-> " * (MAX_DEPTH + 2) + "p", "p -> " * MAX_DEPTH + "p",
+        "p -> " * (MAX_DEPTH - 1) + "p", "p & " * (2 * MAX_DEPTH) + "p",
+        "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+        "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1),
+        "~" * (MAX_DEPTH - 1) + "p", "~" * MAX_DEPTH + "p",
+        "~(p -> " * 30 + "p" + ")" * 30, "(p -> " * 33 + "p" + ")" * 33,
+    ] + [text for text, _, _, _ in PARSE_ERRORS])
+    def test_chains_depths_and_errors(self, text):
+        _same_as_layered(text)
+
+    def test_printed_formulas_and_golden_facts(self):
+        texts = [line.split(" ", 1)[1]
+                 for line in PRINTED.read_text().splitlines()]
+        texts += [fact.formula for fact in GOLDEN_FACTS]
+        assert len(texts) == 848 + 44
+        for text in texts:
+            _same_as_layered(text)
+
+
+# each node class's fields in order, with agent tuples as tuples and a name
+# that no other test gives a node
+def _fields_in_order(cls):
+    name = "FRESH" if cls is MetaFormula else "fresh"
+    return [Atom("p") if role == "subformula" else _GOOD.get(field, name)
+            for field, role, _ in cls._layout]
+
+
+_NODES = [cls for cls in Formula.__subclasses__()
+          if cls.__module__ == formula.__name__]
+
+
+@pytest.mark.parametrize("cls", _NODES, ids=lambda cls: cls.__name__)
+def test_every_way_to_build_a_node_gives_the_one_live_node(cls):
+    # in order, by keyword, then with agent tuples as lists and as
+    # iterators: the later calls find the live node, the list form after
+    # its first table lookup fails on the unhashable list, the iterator
+    # form by the second lookup a class with an agent tuple makes
+    args = _fields_in_order(cls)
+    names = [name for name, _, _ in cls._layout]
+    roles = [role for _, role, _ in cls._layout]
+    as_lists = [list(v) if role == "agents" else v
+                for v, role in zip(args, roles)]
+    gc.collect()
+    before = len(formula._TABLE)
+    in_order = cls(*args)
+    assert cls(**dict(zip(names, args))) is in_order
+    assert cls(*as_lists) is in_order
+    assert cls(**dict(zip(names, as_lists))) is in_order
+    assert cls(*[iter(v) if role == "agents" else v
+                 for v, role in zip(args, roles)]) is in_order
+    assert all(type(v) is tuple for v, role in zip(in_order._values(), roles)
+               if role == "agents")
+    del in_order
+    gc.collect()
+    assert len(formula._TABLE) == before
